@@ -4,7 +4,7 @@ radial supersolution families, truncated-domain exterior solves,
 symmetrization bounds, and decay diagnostics at infinity.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .annulus_solver import (AnnularMesh, EnergyReport, GridFunction,
                              comparison_check, discrete_energy,

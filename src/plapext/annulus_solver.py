@@ -23,7 +23,8 @@ from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import spsolve
 
-from .operator_core import DomainError, phi_eval, phi_prime, unit_ball_volume
+from .operator_core import (DomainError, NonConvergenceError, phi_eval,
+                            phi_prime, unit_ball_volume)
 
 _GRAD_FLOOR = 1e-12
 
@@ -506,7 +507,8 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
                      mesh_factory=None, method="newton",
                      max_iter=400):
     """Truncated-domain sweep: solve on B_(R_m) minus the unit ball with the
-    given inner trace and zero outer trace, for R_m = R0 2^m."""
+    given inner trace and zero outer trace, for R_m = R0 2^m.  Raises
+    NonConvergenceError if the solve of some level does not converge."""
     if not spec.p > spec.n and not np.isscalar(inner_boundary_data):
         raise DomainError("angular exhaustion data requires the p > n regime")
     sols, sups, devs, schedule = [], [], [], []
@@ -523,6 +525,11 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
         u, rep = solve_dirichlet(mesh, spec, f,
                                  {"inner": inner_boundary_data, "outer": 0.0},
                                  method=method, tol=tol, max_iter=max_iter)
+        if not rep.converged:
+            raise NonConvergenceError(
+                f"exhaustion level m={m} (R_m={Rm:g}) did not converge: "
+                f"gradient {rep.grad_norm:.3e} after {rep.iterations} "
+                f"iterations")
         sols.append(u)
         sups.append(float(np.max(u.values)))
         if prev is not None:

@@ -343,9 +343,8 @@ def cmd_rearrange(cfg, out_dir, seed, quiet):
     if len(values) != len(measures):
         raise ConfigError("values and measures must have the same length")
     data = rearrange_samples(values, measures, n)
-    s_grid = np.concatenate(([0.0], data.cum_measure))
     write_csv(out_dir / "decreasing.csv", ["s", "u_star"],
-              [s_grid[:-1], data.values])
+              [data.measure_before[:-1], data.values])
     rho = np.linspace(0.0, data.outer_radius, 129)
     write_csv(out_dir / "profile.csv", ["rho", "u_sharp"],
               [rho, data.profile(rho)])

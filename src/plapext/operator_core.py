@@ -6,7 +6,8 @@ phi has a generalized inverse on [0, inf) bracketed by
 
     (s/L)^(1/(p-1)) <= phi^{-1}(s) <= (s/delta)^(1/(p-1)).
 
-The bracket makes the inverse solvable by unconditional bisection.
+The bracket makes the inverse solvable by safeguarded false position
+(Illinois), which never leaves it.
 """
 
 from __future__ import annotations
@@ -147,7 +148,13 @@ def phi_inverse_bracket(spec, s):
 
 
 def phi_inverse_array(spec, s, tol=1e-12):
-    """Vectorized phi^{-1} by bracketed bisection; s is a nonnegative array."""
+    """Vectorized phi^{-1} of a nonnegative array s.
+
+    Safeguarded false position (Illinois) inside the bracket of
+    `phi_inverse_bracket`, iterated until every element meets
+    |phi(t) - s| <= tol s; raises NonConvergenceError if some element has
+    not after 100 iterations.
+    """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise DomainError("phi^{-1} is defined for s >= 0")
@@ -172,9 +179,8 @@ def phi_inverse_array(spec, s, tol=1e-12):
     # safeguarded false position (Illinois): the secant point stays inside
     # the bracket and the stagnant endpoint's residual is halved, so both
     # endpoints converge; stop on the residual, which is what the contract
-    # |phi(t) - s| <= tol max(1, s) asks for
-    mid = 0.5 * (lo + hi)
-    side = np.zeros_like(mid)
+    # |phi(t) - s| <= tol s asks for
+    side = np.zeros_like(lo)
     target = tol * np.maximum(s, 1e-300)
     for _ in range(100):
         denom = fhi - flo
@@ -184,18 +190,22 @@ def phi_inverse_array(spec, s, tol=1e-12):
                        sec, 0.5 * (lo + hi))
         fm = f_raw(mid) - s
         if np.all(np.abs(fm) <= target):
-            break
+            return mid
         go_lo = fm > 0            # root lies in [lo, mid]
         fhi = np.where(go_lo, fm, np.where(side < 0, 0.5 * fhi, fhi))
         flo = np.where(go_lo, np.where(side > 0, 0.5 * flo, flo), fm)
         hi = np.where(go_lo, mid, hi)
         lo = np.where(go_lo, lo, mid)
         side = np.where(go_lo, 1.0, -1.0)
-    return mid
+    worst = int(np.argmax(np.abs(fm) / target))
+    raise NonConvergenceError(
+        f"phi^{{-1}}({np.ravel(s)[worst]:.6g}) missed the residual target "
+        f"tol*s after 100 iterations (residual "
+        f"{abs(np.ravel(fm)[worst]):.3e})")
 
 
 def phi_inverse(spec, s, tol=1e-12):
-    """Scalar phi^{-1}(s) with |phi(t) - s| <= tol max(1, s)."""
+    """Scalar phi^{-1}(s) with |phi(t) - s| <= tol s."""
     out = phi_inverse_array(spec, np.asarray([float(s)]), tol=tol)
     return float(out[0])
 

@@ -206,10 +206,10 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
         a, b = lo[k], hi[k]
         pts = 0.5 * (a + b) + 0.5 * (b - a) * x16
         # source tail at each node: T(edge right) plus the in-panel remainder
-        rem = np.empty_like(pts)
-        for i, s in enumerate(pts):
-            m2, h2 = 0.5 * (s + b), 0.5 * (b - s)
-            rem[i] = h2 * float(g(m2 + h2 * x8) @ w8)
+        # over [node, b], all 16 remainders by one 8-point rule each
+        m2, h2 = 0.5 * (pts + b), 0.5 * (b - pts)
+        rem_nodes = m2[:, None] + h2[:, None] * x8
+        rem = h2 * (g(rem_nodes.ravel()).reshape(rem_nodes.shape) @ w8)
         T_nodes = T_edges[k + 1] + rem
         up = phi_inverse_signed(spec, T_nodes / pts ** (n - 1.0))
         contrib = 0.5 * (b - a) * float(up @ w16)
@@ -218,7 +218,8 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
             else 0
         if quiet >= 3:
             return total
-    return total
+    raise NonConvergenceError(
+        f"u' tail from {far} did not settle within {len(lo)} doubling panels")
 
 
 def exterior_limit(sol):

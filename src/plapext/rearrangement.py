@@ -26,6 +26,10 @@ class RearrangementData:
     measures: np.ndarray      # matching cell measures
     cum_measure: np.ndarray   # cumulative measure after each cell
     radii: np.ndarray         # ball radii carrying the cumulative measure
+    measure_before: np.ndarray   # cumulative measure before each cell, and
+                                 # the total last
+    integral_before: np.ndarray  # integral of values over the cells before
+                                 # each cell, and the total last
 
     @property
     def total_measure(self):
@@ -53,20 +57,17 @@ class RearrangementData:
         t = np.asarray(t, dtype=float)
         desc = -self.values            # ascending for searchsorted
         idx = np.searchsorted(desc, -t, side="left")
-        cum = np.concatenate(([0.0], self.cum_measure))
-        return cum[idx]
+        return self.measure_before[idx]
 
     def cumulative(self, rho):
         """Integral of the rearranged function over the ball of radius rho."""
         rho = np.asarray(rho, dtype=float)
         meas = np.minimum(unit_ball_volume(self.n) * rho ** self.n,
                           self.total_measure)
-        cum_int = np.concatenate(([0.0],
-                                  np.cumsum(self.values * self.measures)))
         idx = np.searchsorted(self.cum_measure, meas, side="left")
         idx = np.minimum(idx, len(self.values) - 1)
-        prev = np.concatenate(([0.0], self.cum_measure))[idx]
-        return cum_int[idx] + self.values[idx] * (meas - prev)
+        return self.integral_before[idx] \
+            + self.values[idx] * (meas - self.measure_before[idx])
 
 
 def rearrange_samples(values, measures, n):
@@ -81,8 +82,10 @@ def rearrange_samples(values, measures, n):
     v, m = values[order], measures[order]
     cum = np.cumsum(m)
     radii = (cum / unit_ball_volume(n)) ** (1.0 / n)
-    return RearrangementData(n=n, values=v, measures=m, cum_measure=cum,
-                             radii=radii)
+    return RearrangementData(
+        n=n, values=v, measures=m, cum_measure=cum, radii=radii,
+        measure_before=np.concatenate(([0.0], cum)),
+        integral_before=np.concatenate(([0.0], np.cumsum(v * m))))
 
 
 def rearrange(u):
@@ -117,11 +120,10 @@ def _rho_max(n, Omega_measure):
 
 
 def _integrate_kernel(kernel, f_star, a, b):
-    brk = tuple(r for r in np.unique(f_star.radii[:-1]) if a < r < b)
-    if len(brk) > 64:          # keep panel seeds manageable on fine data
-        brk = tuple(brk[:: len(brk) // 64 + 1])
+    # the kernels are smooth between consecutive rearrangement radii, so
+    # with every radius a panel edge each piece passes without refinement
     return integrate(kernel, a, b, rel_tol=1e-10,
-                     singular_left=(a == 0.0), breakpoints=brk)
+                     singular_left=(a == 0.0), breakpoints=f_star.radii[:-1])
 
 
 def talenti_bound(u_boundary_sup, f, spec, Omega_measure, R_in=None,

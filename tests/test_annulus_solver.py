@@ -5,7 +5,7 @@ from plapext import (GridFunction, comparison_check, discrete_energy,
                      exhaust_exterior, holder_modulus, make_spec, polar_mesh,
                      power_decay_source, radial_mesh, solve_dirichlet,
                      solve_radial_bvp, unit_ball_volume, zero_source)
-from plapext.operator_core import DomainError
+from plapext.operator_core import DomainError, NonConvergenceError
 
 
 def test_radial_mesh_measures_sum_to_annulus():
@@ -96,6 +96,13 @@ def test_exhaustion_iterates_settle():
     assert all(d2 <= d1 for d1, d2 in zip(res.deviations, res.deviations[1:]))
     # successive deviations shrink like the R^(-1/2) tail of the limit gap
     assert res.deviations[-1] < 0.5 * res.deviations[0]
+
+
+def test_exhaustion_level_short_of_convergence_raises():
+    spec = make_spec(3.0, 2)
+    f = power_decay_source(spec, 1.0, 1.0)
+    with pytest.raises(NonConvergenceError, match="m=0"):
+        exhaust_exterior(spec, f, 1.0, R0=2.0, m_max=3, max_iter=1)
 
 
 def test_holder_modulus_of_sqrt_profile():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from plapext import (DomainError, make_spec, phi_eval, phi_inverse,
-                     phi_inverse_array, phi_inverse_bracket,
-                     unit_ball_volume, validate_conditions)
+from plapext import (DomainError, NonConvergenceError, OperatorSpec,
+                     make_spec, phi_eval, phi_inverse, phi_inverse_array,
+                     phi_inverse_bracket, unit_ball_volume,
+                     validate_conditions)
 from plapext.operator_core import phi_prime
 
 
@@ -40,6 +41,17 @@ def test_inverse_array_matches_scalar():
     t = phi_inverse_array(spec, s)
     for si, ti in zip(s, t):
         assert ti == pytest.approx(phi_inverse(spec, si), rel=1e-11)
+
+
+def test_inverse_without_a_root_raises():
+    # A jumps from 1 to 2 at t = 1, so phi skips (1, 2): no t meets the
+    # residual target for s = 1.5, and the iteration must say so
+    spec = OperatorSpec(p=3.0, n=2, A=lambda t: np.where(t < 1.0, 1.0, 2.0),
+                        delta=1.0, L_up=2.0)
+    assert phi_inverse_array(spec, np.array([0.5, 4.0])) == pytest.approx(
+        [np.sqrt(0.5), np.sqrt(2.0)], rel=1e-12)
+    with pytest.raises(NonConvergenceError):
+        phi_inverse_array(spec, np.array([0.5, 1.5, 4.0]))
 
 
 def test_inverse_at_zero():

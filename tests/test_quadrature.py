@@ -1,6 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plapext import NonConvergenceError, make_lemma1, make_spec
 from plapext.quadrature import DivergenceError, integrate, tail_integral
 
 
@@ -47,3 +51,61 @@ def test_tail_divergence_with_underflowing_integrand():
     # the growing-panel test must catch it before settling on zeros
     with pytest.raises(DivergenceError):
         tail_integral(lambda r: 1.0 / (r * np.log(r) ** 0.9), 2.0)
+
+
+def test_singular_left_against_mpmath():
+    got = integrate(lambda x: x ** -0.5, 0.0, 0.7, singular_left=True)
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda x: x ** -0.5, [0, 0.7])
+    assert got == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_kink_at_breakpoint_against_mpmath():
+    got = integrate(lambda x: np.abs(x - 0.5), 0.1, 1.3, breakpoints=(0.5,))
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda x: abs(x - 0.5), [0.1, 0.5, 1.3])
+    assert got == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_lemma1_barrier_against_mpmath():
+    # p=3, n=2, a=1, no source: phi(v') r = 1, so v' = r^(-1/2), v = 2 sqrt(r)
+    b = make_lemma1(make_spec(3.0, 2), R=4.0, f_sup=0.0, a=1.0)
+    for r in (0.01, 1.0, 3.5):
+        got = integrate(b.derivative, 0.0, r, rel_tol=1e-12,
+                        singular_left=True)
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda t: 1 / mpmath.sqrt(t), [0, r])
+        assert got == pytest.approx(float(ref), rel=1e-11)
+        assert b.eval(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.0, 2.0), width=st.floats(0.05, 5.0),
+       share=st.floats(0.01, 0.99))
+def test_splitting_at_a_breakpoint_keeps_the_integral(a, width, share):
+    def g(x):
+        return np.exp(-x) * np.cos(3.0 * x) + x ** 1.5
+
+    b = a + width
+    c = a + share * width
+    whole = integrate(g, a, b)
+    scale = integrate(lambda x: np.abs(g(x)), a, b)
+    tol = 1e-11 * scale
+    assert integrate(g, a, b, breakpoints=(c,)) == pytest.approx(whole,
+                                                                 abs=tol)
+    assert integrate(g, a, c) + integrate(g, c, b) == pytest.approx(
+        whole, abs=tol)
+
+
+def test_depth_cap_raises():
+    # a jump away from every breakpoint fails the 20/40 test at each level
+    step = lambda x: (x > 1.0 / 3.0).astype(float)
+    with pytest.raises(NonConvergenceError):
+        integrate(step, 0.0, 1.0, max_depth=5)
+    assert integrate(step, 0.0, 1.0, breakpoints=(1.0 / 3.0,),
+                     max_depth=5) == pytest.approx(2.0 / 3.0, rel=1e-13)
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(NonConvergenceError):
+        integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)

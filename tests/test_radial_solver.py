@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from plapext import (DomainError, exterior_limit, flux_residual, make_spec,
-                     power_decay_source, solve_exterior_radial,
-                     solve_radial_bvp, zero_source)
+from plapext import (DomainError, NonConvergenceError, exterior_limit,
+                     flux_residual, make_spec, power_decay_source,
+                     solve_exterior_radial, solve_radial_bvp, zero_source)
+from plapext.operator_core import phi_inverse_signed
+from plapext.radial_solver import _source_density, _uprime_tail
 
 
 def test_harmonic_annulus_log_profile():
@@ -74,3 +76,43 @@ def test_exterior_limit_scales_with_source():
         f = power_decay_source(spec, c, 1.0)
         ells.append(exterior_limit(solve_exterior_radial(spec, f, 0.0)))
     assert ells[0] < ells[1] < ells[2]
+
+
+def _uprime_tail_by_node(spec, g, far, n, rel_tol=1e-12, max_panels=400):
+    # reference: the in-panel source remainder rebuilt one node at a time
+    x8, w8 = np.polynomial.legendre.leggauss(8)
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    edges = far * 2.0 ** np.arange(max_panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x8
+    panel_g = 0.5 * (hi - lo) * (g(nodes.ravel()).reshape(nodes.shape) @ w8)
+    T_edges = np.concatenate((np.cumsum(panel_g[::-1])[::-1], [0.0]))
+    total, quiet = 0.0, 0
+    for k in range(len(lo)):
+        a, b = lo[k], hi[k]
+        pts = 0.5 * (a + b) + 0.5 * (b - a) * x16
+        rem = [0.5 * (b - s) * float(g(0.5 * (s + b) + 0.5 * (b - s) * x8)
+                                     @ w8) for s in pts]
+        up = phi_inverse_signed(spec, (T_edges[k + 1] + np.asarray(rem))
+                                / pts ** (n - 1.0))
+        contrib = 0.5 * (b - a) * float(up @ w16)
+        total += contrib
+        quiet = quiet + 1 if abs(contrib) <= rel_tol * abs(total) else 0
+        if quiet >= 3:
+            return total
+
+
+@pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])
+def test_uprime_tail_matches_node_by_node_remainders(coeff):
+    spec = make_spec(3.0, 2, coeff)
+    g = _source_density(power_decay_source(spec, 1.0, 1.0), 2)
+    got = _uprime_tail(spec, g, 64.0, 2)
+    assert got == pytest.approx(_uprime_tail_by_node(spec, g, 64.0, 2),
+                                rel=1e-14)
+
+
+def test_uprime_tail_out_of_panels_raises():
+    spec = make_spec(3.0, 2)
+    g = _source_density(power_decay_source(spec, 1.0, 1.0), 2)
+    with pytest.raises(NonConvergenceError):
+        _uprime_tail(spec, g, 64.0, 2, max_panels=5)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,3 +98,38 @@ def test_symmetrized_solution_below_talenti_bound():
     measure = np.sum(mesh.node_measures())
     bound = talenti_bound(0.2, f, spec, measure, R_in=1.0, R_out=2.0)
     assert np.max(data.values) <= bound + 1e-9
+
+
+def test_cached_cumulative_matches_fresh_cumsum():
+    rng = np.random.default_rng(3)
+    data = rearrange_samples(rng.uniform(0, 2, 500), rng.uniform(0, 1, 500),
+                             n=3)
+    rho = np.linspace(0.0, 1.1 * data.outer_radius, 1001)
+    meas = np.minimum(unit_ball_volume(3) * rho ** 3, data.total_measure)
+    cum_int = np.concatenate(([0.0], np.cumsum(data.values * data.measures)))
+    idx = np.minimum(np.searchsorted(data.cum_measure, meas, side="left"),
+                     len(data.values) - 1)
+    prev = np.concatenate(([0.0], data.cum_measure))[idx]
+    fresh = cum_int[idx] + data.values[idx] * (meas - prev)
+    assert np.array_equal(data.cumulative(rho), fresh)
+
+
+@pytest.mark.parametrize("p,n", [(3.0, 2), (2.5, 3)])
+def test_talenti_bound_two_step_source_exact(p, n):
+    # f# = 2 on the ball of measure m1, 0.5 on the shell of measure m2
+    spec = make_spec(p, n)
+    m1, m2, g = 1.3, 2.1, 0.25
+    data = rearrange_samples([0.5, 2.0], [m2, m1], n)
+    got = talenti_bound(g, data, spec, m1 + m2)
+    with mpmath.workdps(30):
+        w = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+        r1 = (m1 / w) ** (mpmath.mpf(1) / n)
+        rmax = ((m1 + m2) / w) ** (mpmath.mpf(1) / n)
+
+        def kernel(rho):
+            F = 2 * w * rho ** n if rho <= r1 \
+                else 2 * m1 + mpmath.mpf(0.5) * (w * rho ** n - m1)
+            return (F / (n * w * rho ** (n - 1))) ** (1 / mpmath.mpf(p - 1))
+
+        exact = g + mpmath.quad(kernel, [0, r1, rmax])
+    assert got == pytest.approx(float(exact), rel=1e-13)
