@@ -180,7 +180,6 @@ def make_lemma2(spec, f, a):
     """Global supersolution family for a decay-tagged source."""
     if not spec.p > spec.n:
         raise DomainError("lemma2 barriers require p > n")
-    f = f.majorant()
     if not f.decay_tagged:
         raise DomainError("lemma2 barriers require a decay-tagged source")
     if a < 0:
@@ -194,7 +193,6 @@ def make_lemma1_prime(spec, R, f, a):
     """lemma1 family on a far ball: majorant C_f R^(-p-eps), center on S_2R."""
     if not spec.p > spec.n:
         raise DomainError("lemma1' barriers require p > n")
-    f = f.majorant()
     if not f.decay_tagged:
         raise DomainError("lemma1' barriers require a decay-tagged source")
     f_sup = f.C_f * R ** (-spec.p - f.eps)
@@ -211,7 +209,6 @@ def make_lemma2_prime(spec, R, f, a):
         raise DomainError("lemma2' barriers require p >= n")
     if R <= 1:
         raise DomainError("lemma2' barriers require R > 1")
-    f = f.majorant()
     if not f.decay_tagged:
         raise DomainError("lemma2' barriers require a decay-tagged source")
     C = f.C_f / (spec.p - spec.n + f.eps) * R ** (spec.n - spec.p - f.eps) \
@@ -247,6 +244,6 @@ def residual_check(b, f, radii):
     max_res = float(np.max(np.abs(residual)) / scale) if len(positive) else 0.0
 
     gvals = b.majorant_g(radii[radii > 0])
-    fvals = np.abs(np.asarray(f.majorant()(radii[radii > 0]), dtype=float))
+    fvals = np.abs(f(radii[radii > 0]))
     g_dominates = bool(np.all(gvals >= fvals - 1e-12 * np.maximum(1.0, gvals)))
     return max_res, g_dominates

@@ -20,15 +20,12 @@ from .quadrature import DivergenceError, integrate, tail_panel_sums
 
 @dataclass
 class SourceTerm:
-    kind: str = "radial_profile"        # radial_profile | grid_samples | composed
+    kind: str = "radial_profile"        # radial_profile | grid_samples
     profile: object = None              # vectorized callable of radius
     C_f: float | None = None
     eps: float | None = None
     r0: float = 1.0
     name: str = "zero"
-    h1: "SourceTerm | None" = None
-    h2: object = None
-    h2_sup: float | None = None
     grid_values: object = None
     grid_measures: object = None
     grid_radii: object = None
@@ -48,23 +45,8 @@ class SourceTerm:
         return self.C_f is not None and self.eps is not None and self.eps > 0
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "composed":
-            # pointwise majorant |h1| sup|h2|; the composed source is only
-            # ever used through its radial bound
-            return np.abs(self.h1(r)) * self.h2_sup
-        return np.asarray(self.profile(r), dtype=float)
-
-    def majorant(self):
-        """Radial decay-tagged bound usable wherever a plain f is expected."""
-        if self.kind == "composed":
-            return SourceTerm(kind="radial_profile",
-                              profile=lambda r: np.abs(self.h1(r)) * self.h2_sup,
-                              C_f=(self.h1.C_f * self.h2_sup
-                                   if self.h1.C_f is not None else None),
-                              eps=self.h1.eps, r0=self.h1.r0,
-                              name=f"majorant({self.name})")
-        return self
+        return np.asarray(self.profile(np.asarray(r, dtype=float)),
+                          dtype=float)
 
 
 def zero_source():
@@ -162,7 +144,6 @@ def check_decay(f, spec, r0=1.0, samples=400):
     """
     if r0 < 1.0:
         raise DomainError("decay checks start at r0 >= 1")
-    f = f.majorant()
     if f.eps is None:
         raise DomainError("source carries no decay tag (C_f, eps)")
     rs = np.geomspace(r0, r0 * 1e8, samples)
@@ -227,7 +208,7 @@ def _tail_from(f, n, q, R, rel_tol=1e-12):
 
 def exterior_norm(f, n, q, R, rel_tol=1e-12):
     """L^q norm of f on the exterior of B_R."""
-    return float(_tail_from(f.majorant(), n, q, R, rel_tol) ** (1.0 / q))
+    return float(_tail_from(f, n, q, R, rel_tol) ** (1.0 / q))
 
 
 @dataclass
@@ -260,7 +241,6 @@ def check_part_b_conditions(f, spec, r_exp, theta, k_max=40):
         raise DomainError("theta must lie in (0, 1)")
     if r_exp < 1:
         raise DomainError("r_exp must be >= 1")
-    f = f.majorant()
     s = n / (p - theta)
 
     flag_Lr = r_exp < n / p
@@ -312,7 +292,6 @@ def harnack_K(f, spec, R, theta=None):
     if R <= 0:
         raise DomainError("R must be positive")
     p, n = spec.p, spec.n
-    f = f.majorant()
     if p > n:
         w = _radial_weight(n)
         ball = integrate(lambda r: w * np.abs(f(r)) * r ** (n - 1.0),

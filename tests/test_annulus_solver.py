@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve as sparse_spsolve
 
+from plapext import annulus_solver
 from plapext import (GridFunction, comparison_check, discrete_energy,
                      exhaust_exterior, holder_modulus, make_spec, polar_mesh,
                      power_decay_source, radial_mesh, solve_dirichlet,
@@ -112,3 +115,92 @@ def test_holder_modulus_of_sqrt_profile():
     u = GridFunction(mesh=mesh, values=np.sqrt(mesh.radii))
     s = holder_modulus(u, 0.5)
     assert 0.0 < s <= 1.0
+
+
+def _reference_newton_direction(mesh, spec, values, grad):
+    """Newton direction from a sparse assembly of B^T M B and SuperLU."""
+    r, h = mesh.radii, np.diff(mesh.radii)
+    rmid = 0.5 * (r[:-1] + r[1:])
+    cells = mesh.cell_measures()
+    gr, gt = annulus_solver._cell_gradients(mesh, values)
+    mag = np.maximum(np.sqrt(gr ** 2 + gt ** 2), annulus_solver._GRAD_FLOOR)
+    w = annulus_solver.phi_eval(spec, mag) / mag
+    q = (annulus_solver.phi_prime(spec, mag) - w) / mag ** 2
+    Mrr, Mrt, Mtt = (w + q * gr ** 2) * cells, q * gr * gt * cells, \
+        (w + q * gt ** 2) * cells
+    br = np.broadcast_to(1.0 / h[:, None], cells.shape)
+    bt = 1.0 / (rmid[:, None] * mesh._dtheta()[None, :])
+    zero = np.zeros_like(cells)
+    M, T = cells.shape
+    idx = np.arange((M + 1) * T).reshape(M + 1, T)
+    nodes = ((idx[:-1], -br, -bt), (idx[1:], br, zero),
+             (np.roll(idx[:-1], -1, axis=1), zero, bt))
+    rows, cols, vals = [], [], []
+    for ni, sr, st in nodes:
+        for nj, tr, tt in nodes:
+            rows.append(ni.ravel())
+            cols.append(nj.ravel())
+            vals.append((Mrr * sr * tr + Mrt * (sr * tt + st * tr)
+                         + Mtt * st * tt).ravel())
+    H = sparse.csr_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=((M + 1) * T,) * 2)
+    interior = idx[1:-1].ravel()
+    step = np.zeros_like(values)
+    step[1:-1] = sparse_spsolve(H[interior][:, interior].tocsc(),
+                                -grad[1:-1].ravel()).reshape(M - 1, T)
+    return step
+
+
+@pytest.mark.parametrize("mesh", [
+    polar_mesh(1.0, 2.0, 48, 48),
+    polar_mesh(1.0, 2.0, 16, 31, inner_layers=3, theta_center=0.3),
+    polar_mesh(1.0, 2.0, 8, 3),
+    polar_mesh(1.0, 2.0, 8, 4),
+], ids=["48x48", "uneven37", "T3", "T4"])
+def test_band_newton_direction_matches_sparse_reference(mesh):
+    spec = make_spec(2.5, 2, "smooth-bump")
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((len(mesh.radii), len(mesh.theta)))
+    fvals = annulus_solver._source_values(
+        power_decay_source(spec, 1.0, 1.0), mesh)
+    grad = annulus_solver.energy_gradient(mesh, spec, values, fvals)
+    grad[[0, -1]] = 0.0
+    band = annulus_solver._RingBand(mesh)
+    assert band.kd <= len(mesh.theta) + 2
+    step = annulus_solver._newton_direction_2d(mesh, spec, values, grad, band)
+    ref = _reference_newton_direction(mesh, spec, values, grad)
+    assert np.all(step[[0, -1]] == 0.0)
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_2d_picard_matches_newton_at_p2():
+    spec = make_spec(2.0, 2)
+    f = power_decay_source(spec, 1.0, 1.0)
+    mesh = polar_mesh(1.0, 3.0, 16, 24)
+    data = {"inner": lambda th: 1.0 + 0.5 * np.cos(th), "outer": 0.0}
+    u_n, rep_n = solve_dirichlet(mesh, spec, f, data, method="newton")
+    u_p, rep_p = solve_dirichlet(mesh, spec, f, data, method="picard")
+    assert rep_n.converged and rep_p.converged
+    assert np.max(np.abs(u_p.values - u_n.values)) \
+        <= 1e-12 * np.max(np.abs(u_n.values))
+
+
+def test_band_solve_of_indefinite_system_raises(monkeypatch):
+    # phi' = -1 makes the local Hessian w I + q g g^T indefinite
+    monkeypatch.setattr(annulus_solver, "phi_prime",
+                        lambda spec, t: -np.ones_like(t))
+    spec = make_spec(2.0, 2)
+    mesh = polar_mesh(1.0, 2.0, 8, 12)
+    with pytest.raises(NonConvergenceError, match="9x12 polar mesh"):
+        solve_dirichlet(mesh, spec, zero_source(),
+                        {"inner": 1.0, "outer": 0.0})
+
+
+def test_energy_density_uses_the_24_point_rule():
+    spec = make_spec(2.5, 2, "smooth-bump")
+    s = np.geomspace(1e-3, 10.0, 50)
+    x, w = np.polynomial.legendre.leggauss(24)
+    nodes = 0.5 * s[:, None] * (x + 1.0)
+    ref = 0.5 * s * (annulus_solver.phi_eval(spec, nodes) @ w)
+    assert np.array_equal(annulus_solver._Phi(spec, s), ref)
