@@ -20,7 +20,6 @@ folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at T + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -29,6 +28,7 @@ from scipy.optimize import minimize_scalar
 
 from .operator_core import (DomainError, NonConvergenceError, phi_eval,
                             phi_prime, unit_ball_volume)
+from .quadrature import gauss_rule
 
 _GRAD_FLOOR = 1e-12
 
@@ -160,21 +160,12 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # energy and its gradient
 
-@lru_cache(maxsize=None)
-def _gauss24():
-    """Nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(24)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _Phi(spec, s):
     """Antiderivative of phi at s (vectorized)."""
     s = np.asarray(s, dtype=float)
     if spec.const_value is not None:
         return spec.const_value * s ** spec.p / spec.p
-    x, w = _gauss24()
+    x, w = gauss_rule(24)
     nodes = 0.5 * s[..., None] * (x + 1.0)
     vals = phi_eval(spec, np.maximum(nodes, 0.0))
     return 0.5 * s * (vals @ w)

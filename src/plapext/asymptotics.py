@@ -37,12 +37,22 @@ class SphereStats:
         return 0.5 * (self.minimum + self.maximum)
 
 
-def _values_on_sphere(u, R):
+def _values_on_spheres(u, radii):
+    """Values of u on the sphere of each radius, one array per radius.
+
+    A radial profile with a `values` method is evaluated at all radii in
+    one pass; 2D solutions (`at_radius`), objects with `value` and plain
+    callables one radius at a time.
+    """
+    radii = [float(R) for R in radii]
     if hasattr(u, "at_radius"):
-        return np.atleast_1d(np.asarray(u.at_radius(R), dtype=float))
+        return [np.atleast_1d(np.asarray(u.at_radius(R), dtype=float))
+                for R in radii]
+    if callable(getattr(u, "values", None)):
+        return [np.atleast_1d(v) for v in u.values(radii)]
     if hasattr(u, "value"):
-        return np.atleast_1d(float(u.value(R)))
-    return np.atleast_1d(np.asarray(u(R), dtype=float))
+        return [np.atleast_1d(float(u.value(R))) for R in radii]
+    return [np.atleast_1d(np.asarray(u(R), dtype=float)) for R in radii]
 
 
 def _domain_outer_radius(u):
@@ -56,13 +66,16 @@ def _domain_outer_radius(u):
     return math.inf
 
 
+def _stats(R, v):
+    return SphereStats(R=float(R), minimum=float(np.min(v)),
+                       maximum=float(np.max(v)), mean=float(np.mean(v)))
+
+
 def sphere_stats(u, R):
     """Min / max / mean over the sphere of radius R (list for a sequence)."""
     if np.ndim(R) > 0:
-        return [sphere_stats(u, float(r)) for r in R]
-    v = _values_on_sphere(u, float(R))
-    return SphereStats(R=float(R), minimum=float(np.min(v)),
-                       maximum=float(np.max(v)), mean=float(np.mean(v)))
+        return [_stats(r, v) for r, v in zip(R, _values_on_spheres(u, R))]
+    return _stats(R, _values_on_spheres(u, [R])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +109,13 @@ def harnack_sphere_check(u, f, spec, radii, theta=None):
     norm appropriate to the p > n / p <= n regime.
     """
     entries = []
-    for R in np.atleast_1d(radii):
-        s = sphere_stats(u, float(R))
+    for s in sphere_stats(u, np.atleast_1d(radii)):
         if s.minimum < -1e-12 * max(1.0, abs(s.maximum)):
             raise DomainError("Harnack sweep requires nonnegative data")
-        K = harnack_K(f, spec, float(R), theta=theta)
+        K = harnack_K(f, spec, s.R, theta=theta)
         denom = max(s.minimum, 0.0) + K
         ratio = s.maximum / denom if denom > 0 else math.inf
-        entries.append(HarnackEntry(R=float(R), sup=s.maximum,
+        entries.append(HarnackEntry(R=s.R, sup=s.maximum,
                                     inf=s.minimum, K=K, ratio=ratio))
     C_fit = max((e.ratio for e in entries), default=1.0)
     if not math.isfinite(C_fit):
@@ -135,17 +147,19 @@ def envelope_check(u, f, spec, radii, samples_beyond=48):
     R_top = _domain_outer_radius(u)
     if not math.isfinite(R_top):
         R_top = 4.0 * float(np.max(radii))
+    radii = [float(R) for R in np.atleast_1d(radii)]
+    # every sphere of the sweep in one evaluation: the radii R, then the
+    # samples beyond each R
+    beyond = [np.geomspace(R, max(R_top, R), samples_beyond) for R in radii]
+    vals = _values_on_spheres(u, np.concatenate([radii] + beyond))
     worst = math.inf
-    for R in np.atleast_1d(radii):
-        R = float(R)
-        s = sphere_stats(u, R)
+    for i, R in enumerate(radii):
+        s = _stats(R, vals[i])
         half = C0 * R ** (-decay) if decay > 0 else C0
-        far = np.geomspace(R, max(R_top, R), samples_beyond)
-        for r in far:
-            v = _values_on_sphere(u, float(r))
-            worst = min(worst,
-                        float(np.min(v) - (s.minimum - half)),
-                        float((s.maximum + half) - np.max(v)))
+        far = vals[len(radii) + i * samples_beyond:][:samples_beyond]
+        worst = min(worst,
+                    min(float(np.min(v)) for v in far) - (s.minimum - half),
+                    (s.maximum + half) - max(float(np.max(v)) for v in far))
     return worst
 
 

@@ -19,13 +19,12 @@ ball families: integrable for p > n, handled by geometric panel grading.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operator_core import (DomainError, phi_eval, phi_inverse_array)
-from .quadrature import integrate
+from .quadrature import cumulative_integral
 
 _EVAL_TOL = 1e-12
 
@@ -56,8 +55,6 @@ class Barrier:
     f_sup: float = 0.0
     C_f: float = 0.0
     eps: float = 0.0
-    _cache_r: list = field(default_factory=list, repr=False)
-    _cache_v: list = field(default_factory=list, repr=False)
 
     @property
     def domain(self):
@@ -97,37 +94,24 @@ class Barrier:
                             self.C_f * r ** (-self.spec.p - self.eps))
         return self.C_f * r ** (-self.spec.p - self.eps)
 
-    def _increment(self, lo, hi):
-        left = self.domain[0]
-        singular = (lo == left) and self.family != "lemma2_prime"
-        brk = (1.0,) if self.family == "lemma2" else ()
-        return integrate(self.derivative, lo, hi, rel_tol=_EVAL_TOL,
-                         singular_left=singular, breakpoints=brk)
-
     def eval(self, r):
-        """Barrier value at radius r, by cached cumulative quadrature."""
-        lo_dom, hi_dom = self.domain
-        r = float(r)
-        if r < lo_dom - 1e-15 or r > hi_dom:
-            raise DomainError(f"radius {r} outside barrier domain "
-                              f"[{lo_dom}, {hi_dom}]")
-        if r <= lo_dom:
-            return 0.0
-        if not self._cache_r:
-            self._cache_r.append(lo_dom)
-            self._cache_v.append(0.0)
-        i = bisect.bisect_right(self._cache_r, r) - 1
-        r0, v0 = self._cache_r[i], self._cache_v[i]
-        if r == r0:
-            return v0
-        val = v0 + self._increment(r0, r)
-        bisect.insort(self._cache_r, r)
-        self._cache_v.insert(self._cache_r.index(r), val)
-        return val
+        """Barrier value at radius r (a one-radius `eval_many`)."""
+        return float(self.eval_many([r])[0])
 
     def eval_many(self, radii):
-        return np.asarray([self.eval(r) for r in np.sort(np.asarray(radii))
-                           ])[np.argsort(np.argsort(radii))]
+        """Barrier values at every radius, by one `cumulative_integral` of
+        v' from the left end of the domain (graded toward it for the ball
+        families; lemma2's kink at r = 1 is a panel edge)."""
+        lo_dom, hi_dom = self.domain
+        radii = np.asarray(radii, dtype=float)
+        bad = (radii < lo_dom - 1e-15) | (radii > hi_dom)
+        if np.any(bad):
+            raise DomainError(f"radius {radii[bad][0]} outside barrier domain "
+                              f"[{lo_dom}, {hi_dom}]")
+        return cumulative_integral(
+            self.derivative, lo_dom, radii, rel_tol=_EVAL_TOL,
+            singular_left=self.family != "lemma2_prime",
+            breakpoints=(1.0,) if self.family == "lemma2" else ())
 
     def bounds(self, r):
         """Certified (lower, upper) for v_a(r); upper may be inf where the
@@ -234,11 +218,14 @@ def residual_check(b, f, radii):
     ref = {"lemma1": 0.0, "lemma1_prime": 0.0,
            "lemma2": 1.0, "lemma2_prime": b.R}[b.family]
     n = b.spec.n
-    cum = np.asarray([
-        integrate(lambda s: b.majorant_g(s) * s ** (n - 1.0),
-                  min(ref, r), max(ref, r), rel_tol=1e-13,
-                  breakpoints=(1.0,)) * (1.0 if r >= ref else -1.0)
-        for r in positive])
+    # integral of the majorant density from ref to each radius, in one
+    # pass from the smallest; the only kink of a majorant (lemma2's, at 1)
+    # is ref
+    cum = cumulative_integral(lambda s: b.majorant_g(s) * s ** (n - 1.0),
+                              np.min(positive, initial=ref),
+                              np.append(positive, ref),
+                              rel_tol=1e-13)
+    cum = cum[:-1] - cum[-1]
     residual = flux + cum - b.C_integration
     scale = max(1.0, abs(b.C_integration))
     max_res = float(np.max(np.abs(residual)) / scale) if len(positive) else 0.0

@@ -378,7 +378,9 @@ def cmd_asymptotics(cfg, out_dir, seed, quiet):
             checks["osc_recurrence"] = bool(fit.recurrence_ok)
             checks["contraction_C"] = pred.C
     shift = max(0.0, -min(s.minimum for s in stats)) + 1e-9
-    sweep = harnack_sphere_check(lambda r: sol.value(r) + shift, f, spec,
+    # the sweep's radii are among those of stats, whose values it reuses
+    u_at = {s.R: s.mean for s in stats}
+    sweep = harnack_sphere_check(lambda r: u_at[r] + shift, f, spec,
                                  [R for R in radii if R >= 4.0] or radii)
     checks["harnack_C_fit"] = sweep.C_fit
     checks["harnack"] = bool(sweep.all_passed)

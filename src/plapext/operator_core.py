@@ -151,9 +151,11 @@ def phi_inverse_array(spec, s, tol=1e-12):
     """Vectorized phi^{-1} of a nonnegative array s.
 
     Safeguarded false position (Illinois) inside the bracket of
-    `phi_inverse_bracket`, iterated until every element meets
-    |phi(t) - s| <= tol s; raises NonConvergenceError if some element has
-    not after 100 iterations.
+    `phi_inverse_bracket`.  Each element keeps the first point t (a bracket
+    end, then the iterates) with |phi(t) - s| <= tol s, so its value
+    depends on its own s only, not on the rest of the batch; raises
+    NonConvergenceError if some element has not met that target after 100
+    iterations.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
@@ -179,9 +181,19 @@ def phi_inverse_array(spec, s, tol=1e-12):
     # safeguarded false position (Illinois): the secant point stays inside
     # the bracket and the stagnant endpoint's residual is halved, so both
     # endpoints converge; stop on the residual, which is what the contract
-    # |phi(t) - s| <= tol s asks for
-    side = np.zeros_like(lo)
+    # |phi(t) - s| <= tol s asks for.  An element that meets it collapses
+    # its bracket onto that point, so it stays there while the others
+    # iterate (the midpoint of [t, t] is t).  A bracket end may meet it
+    # from the start (A at its bound, as for large t with smooth-bump);
+    # iterating toward it would only bisect.
     target = tol * np.maximum(s, 1e-300)
+    at_lo = np.abs(flo) <= target
+    at_hi = ~at_lo & (np.abs(fhi) <= target)
+    hi = np.where(at_lo, lo, hi)
+    lo = np.where(at_hi, hi, lo)
+    # which end the previous step moved (neither before the first step)
+    moved_hi = np.zeros(lo.shape, dtype=bool)
+    moved_lo = moved_hi
     for _ in range(100):
         denom = fhi - flo
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,14 +201,15 @@ def phi_inverse_array(spec, s, tol=1e-12):
         mid = np.where((denom > 0) & (sec > lo) & (sec < hi),
                        sec, 0.5 * (lo + hi))
         fm = f_raw(mid) - s
-        if np.all(np.abs(fm) <= target):
+        hit = np.abs(fm) <= target
+        if hit.all():
             return mid
         go_lo = fm > 0            # root lies in [lo, mid]
-        fhi = np.where(go_lo, fm, np.where(side < 0, 0.5 * fhi, fhi))
-        flo = np.where(go_lo, np.where(side > 0, 0.5 * flo, flo), fm)
-        hi = np.where(go_lo, mid, hi)
-        lo = np.where(go_lo, lo, mid)
-        side = np.where(go_lo, 1.0, -1.0)
+        fhi = np.where(go_lo, fm, np.where(moved_lo, 0.5 * fhi, fhi))
+        flo = np.where(go_lo, np.where(moved_hi, 0.5 * flo, flo), fm)
+        hi = np.where(go_lo | hit, mid, hi)
+        lo = np.where(go_lo & ~hit, lo, mid)
+        moved_hi, moved_lo = go_lo, ~go_lo
     worst = int(np.argmax(np.abs(fm) / target))
     raise NonConvergenceError(
         f"phi^{{-1}}({np.ravel(s)[worst]:.6g}) missed the residual target "

@@ -16,9 +16,14 @@ over arrays of panels:
     and form the next level.
 
 A panel still failing at `max_depth` raises NonConvergenceError, as does an
-integrand that is not finite at the nodes.  References: Davis & Rabinowitz,
-Methods of Numerical Integration, ch. 6; Trefethen, Approximation Theory
-and Approximation Practice, ch. 19.
+integrand that is not finite at the nodes.  `integrate_pieces` runs the same
+refinement for many intervals at once, each with its own tolerance;
+`cumulative_integral` builds on it a profile at many radii in one pass of
+levels, not one per radius, and `tail_panel_sums` uses it for blocks of
+doubling panels.  `gauss_rule(k)` is the one cached k-point Gauss-Legendre
+rule of the package.  References: Davis & Rabinowitz, Methods of Numerical
+Integration, ch. 6; Trefethen, Approximation Theory and Approximation
+Practice, ch. 19.
 """
 
 from __future__ import annotations
@@ -38,13 +43,25 @@ class DivergenceError(ArithmeticError):
 # of a level in one call raise peak memory for several thousand panels, and
 # blocks this size cost no measurable speed
 _PANELS_PER_CALL = 128
+# doubling panels of a tail sweep integrated per integrate_pieces call
+_DOUBLINGS_PER_CALL = 16
+
+
+@lru_cache(maxsize=None)
+def gauss_rule(k):
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1]
+    (read-only arrays, built once per k)."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=None)
 def _gauss_pair():
     """Nodes of the 20- and 40-point rules on [-1, 1], then both weights."""
-    x20, w20 = np.polynomial.legendre.leggauss(20)
-    x40, w40 = np.polynomial.legendre.leggauss(40)
+    x20, w20 = gauss_rule(20)
+    x40, w40 = gauss_rule(40)
     return np.concatenate((x20, x40)), w20, w40
 
 
@@ -62,6 +79,41 @@ def _panel_rules(g, lo, hi):
         coarse[blk] = half[blk] * (vals[:, :20] @ w20)
         fine[blk] = half[blk] * (vals[:, 20:] @ w40)
     return coarse, fine
+
+
+def _refine(g, lo, hi, coarse, fine, piece, tol, piece_lo, piece_hi,
+            max_depth):
+    """Refine the level-0 panels [lo, hi] of the pieces [piece_lo, piece_hi].
+
+    coarse, fine: the panels' 20- and 40-point values; piece[j] is the
+    piece of panel j and tol[i] the absolute tolerance of each panel of
+    piece i.  Returns the pieces and the 40-point values of the accepted
+    panels, level by level in panel order.
+    """
+    kept_piece, kept_value = [], []
+    for depth in range(max_depth + 1):
+        bad = ~np.isfinite(fine)
+        if bad.any():
+            i = piece[np.argmax(bad)]
+            raise NonConvergenceError(
+                f"integrand is not finite on [{piece_lo[i]}, {piece_hi[i]}]")
+        ok = np.abs(fine - coarse) <= tol[piece]
+        kept_piece.append(piece[ok])
+        kept_value.append(fine[ok])
+        if ok.all():
+            return np.concatenate(kept_piece), np.concatenate(kept_value)
+        lo, hi, piece = lo[~ok], hi[~ok], piece[~ok]
+        if depth == max_depth:
+            i = piece[0]
+            raise NonConvergenceError(
+                f"{len(lo)} panels (first [{lo[0]}, {hi[0]}]) missed the "
+                f"tolerance after {max_depth} bisections on "
+                f"[{piece_lo[i]}, {piece_hi[i]}]")
+        mid = 0.5 * (lo + hi)
+        lo = np.column_stack((lo, mid)).ravel()
+        hi = np.column_stack((mid, hi)).ravel()
+        piece = np.repeat(piece, 2)
+        coarse, fine = _panel_rules(g, lo, hi)
 
 
 def integrate(g, a, b, rel_tol=1e-12, singular_left=False, breakpoints=(),
@@ -82,27 +134,59 @@ def integrate(g, a, b, rel_tol=1e-12, singular_left=False, breakpoints=(),
         graded = a + (edges[1] - a) * 0.25 ** np.arange(60, 0, -1.0)
         edges = np.concatenate(([a], graded, edges[1:]))
     lo, hi = edges[:-1], edges[1:]
-
     coarse, fine = _panel_rules(g, lo, hi)
     tol = rel_tol * max(abs(float(np.sum(coarse))), 1e-300) / len(lo)
-    accepted = []
-    for depth in range(max_depth + 1):
-        if not np.all(np.isfinite(fine)):
-            raise NonConvergenceError(
-                f"integrand is not finite on [{a}, {b}]")
-        ok = np.abs(fine - coarse) <= tol
-        accepted.append(fine[ok])
-        if ok.all():
-            return float(np.sum(np.concatenate(accepted)))
-        lo, hi = lo[~ok], hi[~ok]
-        if depth == max_depth:
-            raise NonConvergenceError(
-                f"{len(lo)} panels (first [{lo[0]}, {hi[0]}]) missed the "
-                f"tolerance after {max_depth} bisections on [{a}, {b}]")
-        mid = 0.5 * (lo + hi)
-        lo = np.column_stack((lo, mid)).ravel()
-        hi = np.column_stack((mid, hi)).ravel()
-        coarse, fine = _panel_rules(g, lo, hi)
+    _, values = _refine(g, lo, hi, coarse, fine,
+                        np.zeros(len(lo), dtype=np.intp), np.array([tol]),
+                        [a], [b], max_depth)
+    return float(np.sum(values))
+
+
+def integrate_pieces(g, lo, hi, rel_tol=1e-12, max_depth=48):
+    """Integrals of the vectorized function g over each [lo[i], hi[i]].
+
+    Each piece is refined exactly as `integrate(g, lo[i], hi[i], rel_tol,
+    max_depth=max_depth)` refines it (one level-0 panel, tolerance
+    rel_tol times its 20-point value), but every level evaluates the panels
+    of all pieces together.  Pieces with hi <= lo integrate to 0.  Raises
+    NonConvergenceError as `integrate` does.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    out = np.zeros(len(lo))
+    live = np.flatnonzero(hi > lo)
+    if len(live) == 0:
+        return out
+    lo, hi = lo[live], hi[live]
+    coarse, fine = _panel_rules(g, lo, hi)
+    tol = rel_tol * np.maximum(np.abs(coarse), 1e-300)
+    piece, values = _refine(g, lo, hi, coarse, fine, np.arange(len(live)),
+                            tol, lo, hi, max_depth)
+    out[live] = np.bincount(piece, weights=values, minlength=len(live))
+    return out
+
+
+def cumulative_integral(g, a, radii, rel_tol=1e-12, singular_left=False,
+                        breakpoints=(), start=0.0):
+    """start plus the integral of g from a to each radius, in one pass.
+
+    The unique radii (those below a count as a) are sorted together with a
+    and the breakpoints among them; the first gap is integrated by
+    `integrate` (graded toward a when singular_left), the others together
+    by `integrate_pieces`, and the increments summed from start.
+    """
+    radii = np.maximum(np.asarray(radii, dtype=float), a)
+    kinks = np.asarray(breakpoints, dtype=float)
+    kinks = kinks[(kinks > a) & (kinks < np.max(radii, initial=a))]
+    grid, where = np.unique(np.concatenate(([a], radii, kinks)),
+                            return_inverse=True)
+    first = 0.0
+    if len(grid) > 1:
+        first = integrate(g, a, grid[1], rel_tol=rel_tol,
+                          singular_left=singular_left)
+    rest = integrate_pieces(g, grid[1:-1], grid[2:], rel_tol=rel_tol)
+    cum = np.cumsum(np.concatenate(([start, first], rest)))
+    return cum[where[1:len(radii) + 1]]
 
 
 def tail_panel_sums(g, a, rel_tol=1e-12, settle_tol=1e-14, max_panels=1000):
@@ -111,7 +195,9 @@ def tail_panel_sums(g, a, rel_tol=1e-12, settle_tol=1e-14, max_panels=1000):
     Returns (edges, panel_integrals) where the tail beyond the last edge is
     negligible.  Convergence is declared once three successive panels each
     contribute less than settle_tol of the accumulated integral; raises
-    DivergenceError otherwise.
+    DivergenceError otherwise.  The panels are integrated
+    `_DOUBLINGS_PER_CALL` at a time by `integrate_pieces`, then tested in
+    order, so up to that many panels past the stopping point are evaluated.
     """
     if a <= 0:
         raise ValueError("tail integration requires a > 0")
@@ -121,31 +207,35 @@ def tail_panel_sums(g, a, rel_tol=1e-12, settle_tol=1e-14, max_panels=1000):
     settled = 0
     growing = 0
     prev = None
-    lo = a
-    for _ in range(max_panels):
-        hi = 2.0 * lo
-        val = integrate(g, lo, hi, rel_tol=rel_tol)
-        edges.append(hi)
-        sums.append(val)
-        acc += val
-        if abs(val) <= settle_tol * max(abs(acc), 1e-300):
-            settled += 1
-            if settled >= 3:
-                return np.asarray(edges), np.asarray(sums)
-        else:
-            settled = 0
-        # steadily growing dyadic panels mean polynomial-or-worse divergence;
-        # catch it before the integrand underflows and fakes convergence
-        if prev is not None and abs(val) > abs(prev) * 1.001:
-            growing += 1
-            if growing >= 12:
-                raise DivergenceError(
-                    f"tail integral from {a} has growing dyadic panels")
-        else:
-            growing = 0
-        prev = val
-        lo = hi
-        if lo > 1e290:
+    for start in range(0, max_panels, _DOUBLINGS_PER_CALL):
+        k = np.arange(start, min(start + _DOUBLINGS_PER_CALL, max_panels))
+        lo = a * 2.0 ** k
+        # the sweep ends before the first panel starting beyond 1e290
+        lo = lo[(k == 0) | (lo <= 1e290)]
+        for hi, val in zip(2.0 * lo, integrate_pieces(g, lo, 2.0 * lo,
+                                                       rel_tol=rel_tol)):
+            val = float(val)
+            edges.append(float(hi))
+            sums.append(val)
+            acc += val
+            if abs(val) <= settle_tol * max(abs(acc), 1e-300):
+                settled += 1
+                if settled >= 3:
+                    return np.asarray(edges), np.asarray(sums)
+            else:
+                settled = 0
+            # steadily growing dyadic panels mean polynomial-or-worse
+            # divergence; catch it before the integrand underflows and
+            # fakes convergence
+            if prev is not None and abs(val) > abs(prev) * 1.001:
+                growing += 1
+                if growing >= 12:
+                    raise DivergenceError(
+                        f"tail integral from {a} has growing dyadic panels")
+            else:
+                growing = 0
+            prev = val
+        if len(lo) < len(k):
             break
     raise DivergenceError(
         f"tail integral from {a} failed the convergence test")

@@ -12,8 +12,7 @@ improper integral of f s^(n-1), which makes u' decay integrably.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -21,13 +20,17 @@ from scipy.optimize import brentq
 
 from .operator_core import (DomainError, NonConvergenceError,
                             phi_inverse_signed, phi_signed)
-from .quadrature import integrate, tail_panel_sums
+from .quadrature import (cumulative_integral, gauss_rule, integrate,
+                         tail_panel_sums)
+
+# doubling panels of the u' tail evaluated per phi^{-1} call
+_TAIL_PANELS_PER_CALL = 16
 
 
 def _cumulative_spline(g, edges):
     """Antiderivative of g on a grid, as a C^1 spline with exact slopes."""
     edges = np.asarray(edges, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = gauss_rule(8)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -46,8 +49,6 @@ class RadialSolution:
     u_in: float
     C_flux: float
     _flux_num: object = None      # vectorized r -> C - F(r)
-    _cache_r: list = field(default_factory=list, repr=False)
-    _cache_v: list = field(default_factory=list, repr=False)
 
     def u_prime(self, r):
         r = np.asarray(r, dtype=float)
@@ -61,27 +62,18 @@ class RadialSolution:
             * r ** (self.spec.n - 1.0)
 
     def value(self, r):
-        r = float(r)
-        if r < self.R_in - 1e-12 or r > self.R_out * (1 + 1e-12):
-            raise DomainError(f"radius {r} outside [{self.R_in}, {self.R_out}]")
-        if not self._cache_r:
-            self._cache_r.append(self.R_in)
-            self._cache_v.append(self.u_in)
-        i = bisect.bisect_right(self._cache_r, r) - 1
-        r0, v0 = self._cache_r[i], self._cache_v[i]
-        if r == r0:
-            return v0
-        val = v0 + integrate(self.u_prime, r0, r, rel_tol=1e-12)
-        bisect.insort(self._cache_r, r)
-        self._cache_v.insert(self._cache_r.index(r), val)
-        return val
+        """u at one radius (a one-radius `values`)."""
+        return float(self.values([r])[0])
 
     def values(self, radii):
-        order = np.argsort(radii)
-        out = np.empty(len(radii))
-        for i in order:
-            out[i] = self.value(radii[i])
-        return out
+        """u at every radius, by one `cumulative_integral` of u' from R_in."""
+        radii = np.asarray(radii, dtype=float)
+        bad = (radii < self.R_in - 1e-12) | (radii > self.R_out * (1 + 1e-12))
+        if np.any(bad):
+            raise DomainError(f"radius {radii[bad][0]} outside "
+                              f"[{self.R_in}, {self.R_out}]")
+        return cumulative_integral(self.u_prime, self.R_in, radii,
+                                   rel_tol=1e-12, start=self.u_in)
 
 
 def _source_density(f, n):
@@ -153,7 +145,7 @@ def solve_exterior_radial(spec, f, u_in, R_in=1.0):
     # tail integral T(r) accumulated right-to-left (small terms first), so
     # its relative accuracy is uniform down to the far edge — no
     # cancellation against the full integral
-    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = gauss_rule(8)
 
     def panel_sums(edges_):
         mid = 0.5 * (edges_[:-1] + edges_[1:])
@@ -188,11 +180,13 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
 
     The source tail T is rebuilt locally on each doubling panel (summed
     small-to-large), because u' decays much more slowly than the source
-    density g and remains significant long after g has settled.
+    density g and remains significant long after g has settled.  The
+    panels are evaluated `_TAIL_PANELS_PER_CALL` at a time and added in
+    order, stopping after three panels below rel_tol of the sum.
     """
     edges = far * 2.0 ** np.arange(max_panels + 1)
     edges = edges[np.isfinite(edges)]
-    x8, w8 = np.polynomial.legendre.leggauss(8)
+    x8, w8 = gauss_rule(8)
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * x8[None, :]
@@ -201,23 +195,24 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
 
     total = 0.0
     quiet = 0
-    x16, w16 = np.polynomial.legendre.leggauss(16)
-    for k in range(len(lo)):
-        a, b = lo[k], hi[k]
+    x16, w16 = gauss_rule(16)
+    for start in range(0, len(lo), _TAIL_PANELS_PER_CALL):
+        blk = slice(start, start + _TAIL_PANELS_PER_CALL)
+        a, b = lo[blk, None], hi[blk, None]
         pts = 0.5 * (a + b) + 0.5 * (b - a) * x16
-        # source tail at each node: T(edge right) plus the in-panel remainder
-        # over [node, b], all 16 remainders by one 8-point rule each
+        # source tail at each node: T(edge right) plus the in-panel
+        # remainder over [node, b], each by one 8-point rule
         m2, h2 = 0.5 * (pts + b), 0.5 * (b - pts)
-        rem_nodes = m2[:, None] + h2[:, None] * x8
+        rem_nodes = m2[..., None] + h2[..., None] * x8
         rem = h2 * (g(rem_nodes.ravel()).reshape(rem_nodes.shape) @ w8)
-        T_nodes = T_edges[k + 1] + rem
+        T_nodes = T_edges[start + 1:start + 1 + len(pts), None] + rem
         up = phi_inverse_signed(spec, T_nodes / pts ** (n - 1.0))
-        contrib = 0.5 * (b - a) * float(up @ w16)
-        total += contrib
-        quiet = quiet + 1 if abs(contrib) <= rel_tol * max(abs(total), 1e-300) \
-            else 0
-        if quiet >= 3:
-            return total
+        for contrib in 0.5 * (hi[blk] - lo[blk]) * (up @ w16):
+            total += float(contrib)
+            small = abs(contrib) <= rel_tol * max(abs(total), 1e-300)
+            quiet = quiet + 1 if small else 0
+            if quiet >= 3:
+                return total
     raise NonConvergenceError(
         f"u' tail from {far} did not settle within {len(lo)} doubling panels")
 
@@ -232,7 +227,10 @@ def exterior_limit(sol):
         tail = _uprime_tail(sol.spec, _source_density(sol.f, sol.spec.n),
                             far, sol.spec.n)
         sol._limit_tail = tail
-    return sol.value(far) + tail
+    # u(far) over dyadic pieces: one piece from R_in to far would have to
+    # be bisected into the power-law decay of u' (far reaches 1e28)
+    dyadic = sol.R_in * 2.0 ** np.arange(1, np.log2(far / sol.R_in))
+    return float(sol.values(np.append(dyadic, far))[-1]) + tail
 
 
 def flux_residual(sol, radii):

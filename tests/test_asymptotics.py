@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from plapext import (GridFunction, SphereStats, counterexample_suite,
                      decay_fit, envelope_check, harnack_sphere_check,
-                     make_spec, osc_prediction, polar_mesh,
+                     lemma2prime_C0, make_spec, osc_prediction, polar_mesh,
                      power_decay_source, solve_exterior_radial, sphere_stats,
                      zero_source)
 from plapext.operator_core import DomainError
@@ -118,6 +120,35 @@ def test_envelope_slack_nonnegative_for_decaying_source():
     spec, f, sol = _radial_exterior()
     worst = envelope_check(sol, f, spec, 2.0 ** np.arange(1, 7))
     assert worst >= -1e-9
+
+
+def test_envelope_in_one_pass_matches_radius_by_radius():
+    # the radial solution is evaluated at all 6 x 48 radii in one pass; a
+    # wrapper that only has `value` is evaluated one radius at a time
+    spec, f, sol = _radial_exterior()
+
+    class OneByOne:
+        def value(self, r):
+            return sol.value(r)
+        _far_edge = sol._far_edge
+
+    radii = 2.0 ** np.arange(1, 7)
+    worst = envelope_check(sol, f, spec, radii)
+    assert worst == pytest.approx(envelope_check(OneByOne(), f, spec, radii),
+                                  abs=1e-11)
+    # reference: the envelope of each R against its own 48 samples
+    C0 = lemma2prime_C0(spec, f.C_f, f.eps)
+    ref = math.inf
+    for R in radii:
+        m = sol.value(R)
+        half = C0 * R ** (-f.eps / (spec.p - 1.0))
+        v = sol.values(np.geomspace(R, sol._far_edge, 48))
+        ref = min(ref, np.min(v) - (m - half), (m + half) - np.max(v))
+    assert worst == pytest.approx(ref, abs=1e-11)
+    batch = sphere_stats(sol, radii)
+    for s, R in zip(batch, radii):
+        assert s.R == R
+        assert s.mean == pytest.approx(sol.value(R), abs=1e-11)
 
 
 def test_counterexample_exact_extrema():

@@ -5,6 +5,7 @@ from plapext import (DomainError, lemma2_C0, lemma2prime_C0, make_lemma1,
                      make_lemma1_prime, make_lemma2, make_lemma2_prime,
                      make_spec, power_decay_source, residual_check,
                      zero_source)
+from plapext.quadrature import integrate
 
 
 def test_constants_reference_values():
@@ -97,3 +98,28 @@ def test_barrier_monotone_in_slope_parameter():
     b1 = make_lemma1(spec, R=4.0, f_sup=0.5, a=1.0)
     for r in (0.5, 2.0, 4.0):
         assert b0.eval(r) < b1.eval(r)
+
+
+@pytest.mark.parametrize("family", ["lemma1", "lemma2", "lemma2_prime"])
+def test_eval_many_matches_a_per_radius_loop(family):
+    # unsorted and repeated radii; lemma2's radii straddle its kink at 1
+    spec = make_spec(3.0, 2, "smooth-bump")
+    f = power_decay_source(spec, 1.5, 0.8)
+    b, radii = {
+        "lemma1": (make_lemma1(spec, 5.0, 0.7, 0.5),
+                   [3.0, 0.01, 5.0, 0.4, 3.0]),
+        "lemma2": (make_lemma2(spec, f, 0.3),
+                   [2.5, 0.2, 0.9, 40.0, 0.9, 1.1]),
+        "lemma2_prime": (make_lemma2_prime(spec, 2.0, f, 0.0),
+                         [50.0, 2.0, 3.0, 1e4, 3.0]),
+    }[family]
+    left = b.domain[0]
+    singular = family != "lemma2_prime"
+    ref = [integrate(b.derivative, left, r, rel_tol=1e-12,
+                     singular_left=singular, breakpoints=(1.0,))
+           for r in radii]
+    got = b.eval_many(radii)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert b.eval(radii[0]) == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+    with pytest.raises(DomainError):
+        b.eval_many([radii[0], left - 1.0])

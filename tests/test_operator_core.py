@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapext import (DomainError, NonConvergenceError, OperatorSpec,
                      make_spec, phi_eval, phi_inverse, phi_inverse_array,
@@ -52,6 +54,32 @@ def test_inverse_without_a_root_raises():
         [np.sqrt(0.5), np.sqrt(2.0)], rel=1e-12)
     with pytest.raises(NonConvergenceError):
         phi_inverse_array(spec, np.array([0.5, 1.5, 4.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff=st.sampled_from(["smooth-bump", "expr:1 + 0.5*exp(-t)"]),
+       p=st.floats(1.5, 4.0),
+       exponents=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40))
+def test_inverse_array_elements_do_not_depend_on_the_batch(coeff, p,
+                                                            exponents):
+    # each element stops at its own first point meeting the target, so a
+    # batch gives bitwise the values of one-element calls
+    spec = make_spec(p, 2, coeff)
+    s = 10.0 ** np.asarray(exponents)
+    t = phi_inverse_array(spec, s)
+    alone = np.array([phi_inverse_array(spec, s[i:i + 1])[0]
+                      for i in range(len(s))])
+    assert np.array_equal(t, alone)
+    assert np.all(np.abs(phi_eval(spec, t) - s) <= 1e-12 * s)
+
+
+def test_inverse_takes_a_bracket_end_that_meets_the_target():
+    # for t > 8, smooth-bump's A(t) rounds to its lower bound 1, so the
+    # upper bracket end (s/delta)^(1/(p-1)) is the root to rounding
+    spec = make_spec(3.0, 2, "smooth-bump")
+    s = np.geomspace(1e2, 1e40, 30)
+    assert np.array_equal(phi_inverse_array(spec, s),
+                          phi_inverse_bracket(spec, s)[1])
 
 
 def test_inverse_at_zero():

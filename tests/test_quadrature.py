@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plapext import NonConvergenceError, make_lemma1, make_spec
-from plapext.quadrature import DivergenceError, integrate, tail_integral
+from plapext.quadrature import (DivergenceError, gauss_rule, integrate,
+                                integrate_pieces, tail_integral,
+                                tail_panel_sums)
 
 
 def test_polynomial_exact():
@@ -109,3 +111,62 @@ def test_depth_cap_raises():
 def test_non_finite_integrand_raises():
     with pytest.raises(NonConvergenceError):
         integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+def test_gauss_rule_is_leggauss_read_only():
+    for k in (8, 16, 20, 24, 40):
+        x, w = gauss_rule(k)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(k)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert gauss_rule(k)[0] is x
+
+
+def test_pieces_match_separate_integrals():
+    # a power-law integrand over pieces of very different widths (some
+    # refined several levels), a zero-length piece and a reversed one
+    g = lambda x: x ** -0.75 + np.exp(-x)
+    lo = np.array([1e-6, 0.5, 2.0, 2.0, 3.0, 1e3, 7.0])
+    hi = np.array([0.5, 2.0, 2.0, 1e3, 1e5, 1e3, 5.0])
+    got = integrate_pieces(g, lo, hi, rel_tol=1e-12)
+    for a, b, v in zip(lo, hi, got):
+        ref = integrate(g, a, b, rel_tol=1e-12)
+        assert v == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert got[2] == got[5] == got[6] == 0.0
+    assert len(integrate_pieces(g, [], [])) == 0
+
+
+def test_pieces_raise_like_integrate():
+    step = lambda x: (x > 1.0 / 3.0).astype(float)
+    with pytest.raises(NonConvergenceError, match="0.0, 1.0"):
+        integrate_pieces(step, [-1.0, 0.0], [0.0, 1.0], max_depth=5)
+    nan_right = lambda x: np.where(x > 2.0, np.nan, 1.0)
+    with pytest.raises(NonConvergenceError, match="not finite on .3.0"):
+        integrate_pieces(nan_right, [0.0, 3.0], [1.0, 4.0])
+
+
+def _tail_panel_sums_one_by_one(g, a, rel_tol=1e-12, settle_tol=1e-14):
+    # reference: one integrate per doubling panel, tested as it comes
+    edges, sums, acc, settled = [a], [], 0.0, 0
+    lo = a
+    while True:
+        val = integrate(g, lo, 2.0 * lo, rel_tol=rel_tol)
+        edges.append(2.0 * lo)
+        sums.append(val)
+        acc += val
+        settled = settled + 1 if abs(val) <= settle_tol * abs(acc) else 0
+        if settled >= 3:
+            return np.asarray(edges), np.asarray(sums)
+        lo *= 2.0
+
+
+@pytest.mark.parametrize("g, a", [
+    (lambda r: r ** -3.0, 2.0),
+    (lambda r: np.exp(-r), 1.0),
+    (lambda r: np.minimum(1.0, r ** -4.0) * r, 0.3),
+])
+def test_tail_panels_in_blocks_match_one_by_one(g, a):
+    edges, sums = tail_panel_sums(g, a)
+    ref_edges, ref_sums = _tail_panel_sums_one_by_one(g, a)
+    assert np.array_equal(edges, ref_edges)
+    assert sums == pytest.approx(ref_sums, rel=1e-15, abs=0.0)

@@ -5,6 +5,7 @@ from plapext import (DomainError, NonConvergenceError, exterior_limit,
                      flux_residual, make_spec, power_decay_source,
                      solve_exterior_radial, solve_radial_bvp, zero_source)
 from plapext.operator_core import phi_inverse_signed
+from plapext.quadrature import integrate
 from plapext.radial_solver import _source_density, _uprime_tail
 
 
@@ -116,3 +117,51 @@ def test_uprime_tail_out_of_panels_raises():
     g = _source_density(power_decay_source(spec, 1.0, 1.0), 2)
     with pytest.raises(NonConvergenceError):
         _uprime_tail(spec, g, 64.0, 2, max_panels=5)
+
+
+@pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])
+def test_values_match_a_per_radius_loop(coeff):
+    # unsorted and repeated radii, R_in itself and the far end included
+    spec = make_spec(3.0, 2, coeff)
+    f = power_decay_source(spec, 1.0, 1.0)
+    radii = np.array([7.5, 1.2, 300.0, 1.2, 1.0, 42.0, 7.5, 2.0])
+    for sol in (solve_radial_bvp(spec, f, 1.0, 300.0, 0.5, 2.0),
+                solve_exterior_radial(spec, f, 0.5, R_in=1.0)):
+        got = sol.values(radii)
+        # the same increments, one integrate per gap between sorted radii
+        value, prev = {1.0: sol.u_in}, 1.0
+        for r in sorted(set(radii) - {1.0}):
+            value[r] = value[prev] + integrate(sol.u_prime, prev, r,
+                                               rel_tol=1e-12)
+            prev = r
+        assert got == pytest.approx([value[r] for r in radii], rel=1e-13,
+                                    abs=0.0)
+        # each radius by its own integral from R_in: u' comes from a C^1
+        # spline, on which one 20/40-point estimate at 1e-12 is good to a
+        # few 1e-12 only
+        whole = [sol.u_in + integrate(sol.u_prime, 1.0, r, rel_tol=1e-12)
+                 for r in radii]
+        assert got == pytest.approx(whole, rel=1e-11, abs=0.0)
+        assert sol.value(radii[2]) == pytest.approx(whole[2], rel=1e-15,
+                                                    abs=0.0)
+
+
+def test_values_outside_the_domain_raise():
+    spec = make_spec(3.0, 2)
+    sol = solve_radial_bvp(spec, zero_source(), 1.0, 2.0, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        sol.values([1.5, 2.5])
+    with pytest.raises(DomainError):
+        sol.value(0.5)
+
+
+def test_exterior_limit_below_the_critical_exponent():
+    # p = 2.5 <= n = 3, f = r^(-p-1) beyond R_in = 1: T(r) = r^(n-p-eps) /
+    # (p-n+eps), u' = K r^(-1-eps/(p-1)) with K = (1/(p-n+eps))^(1/(p-1)),
+    # so the limit is u_in + K (p-1)/eps; far reaches 1e28, where one
+    # bisected panel from R_in missed the tolerance at the depth cap
+    spec = make_spec(2.5, 3)
+    f = power_decay_source(spec, 1.0, 1.0)
+    sol = solve_exterior_radial(spec, f, 1.0, R_in=1.0)
+    exact = 1.0 + (1.0 / 0.5) ** (1.0 / 1.5) * 1.5
+    assert exterior_limit(sol) == pytest.approx(exact, rel=1e-8)
