@@ -20,6 +20,7 @@ folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at T + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -36,22 +37,59 @@ _GRAD_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # meshes and grid functions
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AnnularMesh:
+    """Radial (1D) or polar (2D) annular mesh.
+
+    The radii and angles are copied and read-only, and so is the geometry
+    built from them once per mesh: cell and node measures, the radial steps
+    dr, the angular steps rdtheta = r_mid * dtheta of the cells, the index
+    arrays theta_next and theta_prev of each angle's angular neighbours,
+    and (2D, on first use) the band layout of the interior unknowns.
+    """
     n: int
     radii: np.ndarray
     theta: np.ndarray | None = None      # angular nodes (2D, periodic), n == 2
 
     def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        if np.any(np.diff(self.radii) <= 0):
+        radii = np.array(self.radii, dtype=float)
+        if np.any(np.diff(radii) <= 0):
             raise DomainError("radii must be strictly increasing")
-        if np.any(self.radii[1:] / self.radii[:-1] > 2.0 + 1e-12):
+        if np.any(radii[1:] / radii[:-1] > 2.0 + 1e-12):
             raise DomainError("geometric grading ratio must stay within [1, 2]")
-        if self.theta is not None:
-            self.theta = np.asarray(self.theta, dtype=float)
-            if self.n != 2:
-                raise DomainError("angular meshes are 2D only")
+        self._freeze("radii", radii)
+        self._freeze("dr", np.diff(radii))
+        omega = unit_ball_volume(self.n)
+        shells = omega * (radii[1:] ** self.n - radii[:-1] ** self.n)
+        if self.theta is None:
+            self._freeze("_cells", shells)
+            mu = np.zeros(len(radii))
+            mu[:-1] += 0.5 * shells
+            mu[1:] += 0.5 * shells
+            self._freeze("_nodes", mu)
+            return
+        if self.n != 2:
+            raise DomainError("angular meshes are 2D only")
+        self._freeze("theta", np.array(self.theta, dtype=float))
+        T = len(self.theta)
+        self._freeze("theta_next", (np.arange(T) + 1) % T)
+        self._freeze("theta_prev", (np.arange(T) - 1) % T)
+        dth = self._dtheta()
+        rmid = 0.5 * (radii[:-1] + radii[1:])
+        self._freeze("rdtheta", rmid[:, None] * dth[None, :])
+        cells = shells[:, None] * dth[None, :] / (2.0 * np.pi)
+        self._freeze("_cells", cells)
+        M = len(radii) - 1
+        mu = np.zeros((M + 1, T))
+        quarter = 0.25 * cells
+        for di in (0, 1):
+            mu[di:M + di, :] += quarter
+            mu[di:M + di, :] += quarter[:, self.theta_next]
+        self._freeze("_nodes", mu)
+
+    def _freeze(self, name, array):
+        array.setflags(write=False)
+        object.__setattr__(self, name, array)
 
     @property
     def is_2d(self):
@@ -66,33 +104,22 @@ class AnnularMesh:
         return float(self.radii[-1])
 
     def cell_measures(self):
-        """Measure of the radial shells (1D) or polar cells (2D)."""
-        omega = unit_ball_volume(self.n)
-        shells = omega * (self.radii[1:] ** self.n - self.radii[:-1] ** self.n)
-        if not self.is_2d:
-            return shells
-        dth = self._dtheta()
-        return shells[:, None] * dth[None, :] / (2.0 * np.pi)
+        """Measure of the radial shells (1D) or polar cells (2D), read-only."""
+        return self._cells
+
+    def node_measures(self):
+        """Control measures per node (cell measures split over corners),
+        read-only."""
+        return self._nodes
+
+    @cached_property
+    def band(self):
+        """The `_RingBand` layout of the interior unknowns (2D)."""
+        return _RingBand(self)
 
     def _dtheta(self):
         th = self.theta
         return np.diff(np.concatenate((th, [th[0] + 2.0 * np.pi])))
-
-    def node_measures(self):
-        """Control measures per node (cell measures split over corners)."""
-        cells = self.cell_measures()
-        if not self.is_2d:
-            mu = np.zeros(len(self.radii))
-            mu[:-1] += 0.5 * cells
-            mu[1:] += 0.5 * cells
-            return mu
-        M, T = cells.shape
-        mu = np.zeros((M + 1, T))
-        quarter = 0.25 * cells
-        for di in (0, 1):
-            mu[di:M + di, :] += quarter
-            mu[di:M + di, :] += np.roll(quarter, -1, axis=1)
-        return mu
 
     def points(self):
         """Cartesian node coordinates: radii (1D) or (x, y) pairs (2D)."""
@@ -185,15 +212,10 @@ def _source_values(f, mesh):
 
 
 def _cell_gradients(mesh, values):
-    r = mesh.radii
-    h = np.diff(r)
     if not mesh.is_2d:
-        return (np.diff(values) / h,)
-    dth = mesh._dtheta()
-    rmid = 0.5 * (r[:-1] + r[1:])
-    du_r = np.diff(values, axis=0) / h[:, None]
-    du_t = (np.roll(values, -1, axis=1) - values)[:-1, :] \
-        / (rmid[:, None] * dth[None, :])
+        return (np.diff(values) / mesh.dr,)
+    du_r = np.diff(values, axis=0) / mesh.dr[:, None]
+    du_t = (values[:-1, mesh.theta_next] - values[:-1]) / mesh.rdtheta
     return du_r, du_t
 
 
@@ -215,22 +237,18 @@ def energy_gradient(mesh, spec, values, fvals):
     mag = np.sqrt(sum(g ** 2 for g in grads))
     mag_f = np.maximum(mag, _GRAD_FLOOR)
     w = phi_eval(spec, mag_f) / mag_f          # phi(|g|)/|g|, floored
-    r = mesh.radii
-    h = np.diff(r)
     grad = -fvals * mesh.node_measures()
     if not mesh.is_2d:
-        flux = w * grads[0] * cells / h
+        flux = w * grads[0] * cells / mesh.dr
         grad[:-1] -= flux
         grad[1:] += flux
         return grad
-    dth = mesh._dtheta()
-    rmid = 0.5 * (r[:-1] + r[1:])
-    flux_r = w * grads[0] * cells / h[:, None]
-    flux_t = w * grads[1] * cells / (rmid[:, None] * dth[None, :])
+    flux_r = w * grads[0] * cells / mesh.dr[:, None]
+    flux_t = w * grads[1] * cells / mesh.rdtheta
     grad[:-1, :] -= flux_r
     grad[1:, :] += flux_r
     grad[:-1, :] -= flux_t
-    grad[:-1, :] += np.roll(flux_t, 1, axis=1)
+    grad[:-1, :] += flux_t[:, mesh.theta_prev]
     return grad
 
 
@@ -290,9 +308,8 @@ def _cell_couplings(mesh, Mrr, Mrt, Mtt):
     c -> (0, bt); M = [[Mrr, Mrt], [Mrt, Mtt]] is the cell's local Hessian
     times the cell measure.
     """
-    r = mesh.radii
-    br = 1.0 / np.diff(r)[:, None]
-    bt = 1.0 / (0.5 * (r[:-1] + r[1:])[:, None] * mesh._dtheta()[None, :])
+    br = 1.0 / mesh.dr[:, None]
+    bt = 1.0 / mesh.rdtheta
     rr, rt, tt = Mrr * br ** 2, Mrt * br * bt, Mtt * bt ** 2
     return np.stack((rr + 2.0 * rt + tt, rr, tt, -rr - rt, -rt - tt, rt))
 
@@ -327,7 +344,7 @@ class _RingBand:
         def ends(grid):
             # the nodes a = (i, j), b = (i+1, j), c = (i, j+1) of each cell
             na, nb = grid[:-1], grid[1:]
-            nc = np.roll(na, -1, axis=1)
+            nc = na[:, mesh.theta_next]
             return (np.stack((na, nb, nc, na, na, nb)).ravel(),
                     np.stack((na, nb, nc, nb, nc, nc)).ravel())
         x, y = ends(pos)
@@ -369,7 +386,7 @@ class _RingBand:
 
 
 def _picard_matrix_1d(mesh, spec, values):
-    r, h = mesh.radii, np.diff(mesh.radii)
+    h = mesh.dr
     cells = mesh.cell_measures()
     g = np.diff(values) / h
     mag = np.maximum(np.abs(g), _GRAD_FLOOR)
@@ -407,7 +424,7 @@ def _solve_picard_2d(mesh, spec, values, fvals, band):
 
 
 def _newton_direction_1d(mesh, spec, values, grad):
-    h = np.diff(mesh.radii)
+    h = mesh.dr
     cells = mesh.cell_measures()
     g = np.diff(values) / h
     mag = np.maximum(np.abs(g), _GRAD_FLOOR)
@@ -471,16 +488,18 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
             g[-1] = 0.0
         return g
 
-    band = _RingBand(mesh) if mesh.is_2d else None
+    band = mesh.band if mesh.is_2d else None
     scale = max(1.0, float(np.max(np.abs(fvals))),
                 float(np.max(np.abs(values))))
     energy = J(values)
     history = [energy]
     converged = False
     it = 0
+    # the gradient at the current iterate: the convergence test of one
+    # iteration computes it, the direction of the next one reuses it
+    g = grad_interior(values)
     for it in range(1, max_iter + 1):
         if method == "newton":
-            g = grad_interior(values)
             if mesh.is_2d:
                 d = _newton_direction_2d(mesh, spec, values, g, band)
             else:
@@ -515,7 +534,6 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
                 if e_new > energy:
                     new, e_new = values, energy
         elif method == "descent":
-            g = grad_interior(values)
             mu = mesh.node_measures()
             direction = -g / np.maximum(mu, 1e-300)     # mass-preconditioned
             gdot = float(np.sum(g * direction))
@@ -532,13 +550,13 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
         delta = float(np.max(np.abs(new - values)))
         values, energy = new, e_new
         history.append(energy)
-        gnorm = float(np.max(np.abs(grad_interior(values))))
+        g = grad_interior(values)
+        gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol * scale or delta <= 1e-14 * scale:
             converged = gnorm <= max(tol * scale, 1e-8 * scale) or delta <= 1e-13 * scale
             break
 
-    report = EnergyReport(energy=energy,
-                          grad_norm=float(np.max(np.abs(grad_interior(values)))),
+    report = EnergyReport(energy=energy, grad_norm=float(np.max(np.abs(g))),
                           iterations=it, converged=converged, history=history)
     return GridFunction(mesh, values), report
 

@@ -10,7 +10,8 @@ over arrays of panels:
   * each level evaluates the 20- and 40-point Gauss-Legendre rules of all
     its panels together, calling the integrand once per block of
     `_PANELS_PER_CALL` panels (which bounds the size of the arrays the
-    integrand builds);
+    integrand builds) with a (panels, 60) array of nodes, one row per
+    panel, no row crossing a breakpoint;
   * a panel is accepted when its two rules agree to the absolute
     tolerance shared out over the level-0 panels; the others are bisected
     and form the next level.
@@ -66,7 +67,11 @@ def _gauss_pair():
 
 
 def _panel_rules(g, lo, hi):
-    """20- and 40-point Gauss-Legendre values of g on the panels [lo, hi]."""
+    """20- and 40-point Gauss-Legendre values of g on the panels [lo, hi].
+
+    g is called with the nodes of a block of panels as one 2D array, a row
+    per panel: its 20 nodes of the coarse rule, then its 40 of the fine.
+    """
     nodes, w20, w40 = _gauss_pair()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -75,7 +80,7 @@ def _panel_rules(g, lo, hi):
     for start in range(0, len(lo), _PANELS_PER_CALL):
         blk = slice(start, start + _PANELS_PER_CALL)
         x = mid[blk, None] + half[blk, None] * nodes
-        vals = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
+        vals = np.asarray(g(x), dtype=float).reshape(x.shape)
         coarse[blk] = half[blk] * (vals[:, :20] @ w20)
         fine[blk] = half[blk] * (vals[:, 20:] @ w40)
     return coarse, fine
@@ -124,6 +129,13 @@ def integrate(g, a, b, rel_tol=1e-12, singular_left=False, breakpoints=(),
     algebraic singularity expected there).  breakpoints: kink locations;
     those inside (a, b) become panel edges.  Raises NonConvergenceError when
     a panel bisected max_depth times still misses its tolerance.
+
+    g is called with 2D arrays of nodes and returns its values in the same
+    shape.  Each row holds the nodes of one panel, and no panel crosses a
+    breakpoint or a, b: not at level 0, not after any bisection, and not
+    among the graded panels of a singular-left piece.  So an integrand may
+    do its per-piece work once per row (the Talenti kernels look up their
+    rearrangement piece so); an elementwise one works unchanged.
     """
     if b <= a:
         return 0.0
@@ -148,8 +160,10 @@ def integrate_pieces(g, lo, hi, rel_tol=1e-12, max_depth=48):
     Each piece is refined exactly as `integrate(g, lo[i], hi[i], rel_tol,
     max_depth=max_depth)` refines it (one level-0 panel, tolerance
     rel_tol times its 20-point value), but every level evaluates the panels
-    of all pieces together.  Pieces with hi <= lo integrate to 0.  Raises
-    NonConvergenceError as `integrate` does.
+    of all pieces together.  g gets rows of panel nodes, as from
+    `integrate`, and no row crosses the ends of its piece.  Pieces with
+    hi <= lo integrate to 0.  Raises NonConvergenceError as `integrate`
+    does.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

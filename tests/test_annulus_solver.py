@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -28,6 +30,26 @@ def test_polar_mesh_measures_sum_to_annulus():
 def test_mesh_rejects_bad_radii():
     with pytest.raises(DomainError):
         radial_mesh(2, 2.0, 1.0, 10)
+
+
+def test_mesh_copies_and_freezes_its_arrays():
+    radii = np.geomspace(1.0, 2.0, 9)
+    theta = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    mesh = annulus_solver.AnnularMesh(n=2, radii=radii, theta=theta)
+    before = [a.copy() for a in (mesh.radii, mesh.theta,
+                                 mesh.cell_measures(), mesh.node_measures())]
+    radii[3] = 1.5
+    theta[2] = 0.1
+    after = (mesh.radii, mesh.theta, mesh.cell_measures(),
+             mesh.node_measures())
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    for a in after + (mesh.dr, mesh.rdtheta, mesh.theta_next,
+                      mesh.theta_prev):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.radii = radii
+    assert mesh.band is mesh.band
 
 
 def test_1d_solve_matches_log_profile():
@@ -152,12 +174,16 @@ def _reference_newton_direction(mesh, spec, values, grad):
     return step
 
 
-@pytest.mark.parametrize("mesh", [
+BAND_MESHES = [
     polar_mesh(1.0, 2.0, 48, 48),
     polar_mesh(1.0, 2.0, 16, 31, inner_layers=3, theta_center=0.3),
     polar_mesh(1.0, 2.0, 8, 3),
     polar_mesh(1.0, 2.0, 8, 4),
-], ids=["48x48", "uneven37", "T3", "T4"])
+]
+BAND_MESH_IDS = ["48x48", "uneven37", "T3", "T4"]
+
+
+@pytest.mark.parametrize("mesh", BAND_MESHES, ids=BAND_MESH_IDS)
 def test_band_newton_direction_matches_sparse_reference(mesh):
     spec = make_spec(2.5, 2, "smooth-bump")
     rng = np.random.default_rng(7)
@@ -204,3 +230,55 @@ def test_energy_density_uses_the_24_point_rule():
     nodes = 0.5 * s[:, None] * (x + 1.0)
     ref = 0.5 * s * (annulus_solver.phi_eval(spec, nodes) @ w)
     assert np.array_equal(annulus_solver._Phi(spec, s), ref)
+
+
+@pytest.mark.parametrize("mesh", BAND_MESHES, ids=BAND_MESH_IDS)
+def test_cached_geometry_matches_per_call_formulas(mesh):
+    # reference: the measures and angular differences computed directly,
+    # the angular neighbours by np.roll
+    r, th = mesh.radii, mesh.theta
+    dth = np.diff(np.concatenate((th, [th[0] + 2.0 * np.pi])))
+    shells = unit_ball_volume(2) * (r[1:] ** 2 - r[:-1] ** 2)
+    cells = shells[:, None] * dth[None, :] / (2.0 * np.pi)
+    M, T = cells.shape
+    nodes = np.zeros((M + 1, T))
+    quarter = 0.25 * cells
+    for di in (0, 1):
+        nodes[di:M + di, :] += quarter
+        nodes[di:M + di, :] += np.roll(quarter, -1, axis=1)
+    assert np.array_equal(mesh.cell_measures(), cells)
+    assert np.array_equal(mesh.node_measures(), nodes)
+    assert np.array_equal(mesh.dr, np.diff(r))
+    assert np.array_equal(mesh.rdtheta,
+                          0.5 * (r[:-1] + r[1:])[:, None] * dth[None, :])
+    values = np.random.default_rng(5).standard_normal((M + 1, T))
+    assert np.array_equal(values[:, mesh.theta_next],
+                          np.roll(values, -1, axis=1))
+    assert np.array_equal(values[:, mesh.theta_prev],
+                          np.roll(values, 1, axis=1))
+
+
+@pytest.mark.parametrize("method", ["newton", "picard", "descent"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_gradient_per_iterate(monkeypatch, method, dim):
+    calls = []
+    gradient = annulus_solver.energy_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return gradient(*args)
+
+    monkeypatch.setattr(annulus_solver, "energy_gradient", counted)
+    spec = make_spec(2.5, 2)
+    f = power_decay_source(spec, 1.0, 1.0)
+    if dim == 1:
+        mesh, inner = radial_mesh(2, 1.0, 2.0, 32), 1.0
+    else:
+        mesh, inner = polar_mesh(1.0, 2.0, 8, 12), lambda th: np.cos(th)
+    u, rep = solve_dirichlet(mesh, spec, f, {"inner": inner, "outer": 0.0},
+                             method=method, tol=1e-8, max_iter=25)
+    assert rep.iterations >= 2
+    assert len(calls) == rep.iterations + 1
+    grad = gradient(mesh, spec, u.values, annulus_solver._source_values(
+        f, mesh))
+    assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))

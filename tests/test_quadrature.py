@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plapext import NonConvergenceError, make_lemma1, make_spec
-from plapext.quadrature import (DivergenceError, gauss_rule, integrate,
-                                integrate_pieces, tail_integral,
-                                tail_panel_sums)
+from plapext.quadrature import (DivergenceError, cumulative_integral,
+                                gauss_rule, integrate, integrate_pieces,
+                                tail_integral, tail_panel_sums)
 
 
 def test_polynomial_exact():
@@ -170,3 +170,61 @@ def test_tail_panels_in_blocks_match_one_by_one(g, a):
     ref_edges, ref_sums = _tail_panel_sums_one_by_one(g, a)
     assert np.array_equal(edges, ref_edges)
     assert sums == pytest.approx(ref_sums, rel=1e-15, abs=0.0)
+
+
+def _recorded(g):
+    """g, and the list of the node arrays it is called with."""
+    calls = []
+
+    def rec(x):
+        calls.append(np.array(x))
+        return g(x)
+    return rec, calls
+
+
+def _rows_within_pieces(calls, edges):
+    # every call is a 2D array of nodes, and every row lies inside one piece
+    # (edges[k-1], edges[k])
+    for x in calls:
+        assert x.ndim == 2 and x.shape[1] == 60
+        first = np.searchsorted(edges, x.min(axis=1), side="right")
+        last = np.searchsorted(edges, x.max(axis=1), side="left")
+        assert np.array_equal(first, last)
+        assert np.all((first > 0) & (first < len(edges)))
+
+
+def test_integrand_rows_are_panels_at_level_0():
+    g, calls = _recorded(np.exp)
+    integrate(g, 0.0, 1.0, breakpoints=(0.3, 0.7, 1.5))
+    assert len(calls) == 1 and calls[0].shape == (3, 60)
+    _rows_within_pieces(calls, [0.0, 0.3, 0.7, 1.0])
+
+
+def test_integrand_rows_stay_inside_pieces_after_bisection():
+    # the kink at 1/3 is no breakpoint, so its panel is bisected many times
+    g, calls = _recorded(lambda x: np.abs(x - 1.0 / 3.0))
+    integrate(g, 0.0, 1.0, breakpoints=(0.25, 0.5))
+    assert len(calls) > 5
+    assert all(len(x) == 2 for x in calls[1:])
+    _rows_within_pieces(calls, [0.0, 0.25, 0.5, 1.0])
+
+
+def test_integrand_rows_of_the_graded_singular_piece():
+    g, calls = _recorded(lambda x: x ** -0.5)
+    integrate(g, 0.0, 0.7, singular_left=True, breakpoints=(0.2, 0.5))
+    # the innermost sliver and the 60 graded panels of [0, 0.2], then the
+    # two other pieces; no row crosses a graded edge either
+    assert calls[0].shape == (63, 60)
+    graded = 0.2 * 0.25 ** np.arange(60, -1, -1.0)
+    _rows_within_pieces(calls, np.concatenate(([0.0], graded, [0.5, 0.7])))
+
+
+def test_integrand_rows_of_pieces_and_cumulative_profiles():
+    kink = lambda x: np.abs(x - 1.3) + x ** 1.5
+    g, calls = _recorded(kink)
+    integrate_pieces(g, [0.0, 1.0, 2.5], [1.0, 2.0, 4.0])
+    assert len(calls) > 1
+    _rows_within_pieces(calls, [0.0, 1.0, 2.0, 2.5, 4.0])
+    g, calls = _recorded(kink)
+    cumulative_integral(g, 0.5, [3.0, 1.0, 2.0], breakpoints=(1.5, 2.5))
+    _rows_within_pieces(calls, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])

@@ -1,11 +1,15 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapext import (GridFunction, full_talenti_profile, make_spec,
-                     power_decay_source, radial_mesh, rearrange,
-                     rearrange_samples, solve_dirichlet, talenti_bound,
-                     unit_ball_volume)
+                     phi_inverse_array, power_decay_source, radial_mesh,
+                     rearrange, rearrange_samples, solve_dirichlet,
+                     talenti_bound, unit_ball_volume)
+from plapext.quadrature import integrate
+from plapext.rearrangement import _source_rearrangement
 from plapext.source_terms import SourceTerm
 
 
@@ -133,3 +137,52 @@ def test_talenti_bound_two_step_source_exact(p, n):
 
         exact = g + mpmath.quad(kernel, [0, r1, rmax])
     assert got == pytest.approx(float(exact), rel=1e-13)
+
+
+def _talenti_per_node(u_sup, fs, spec, measure, x_radius=None):
+    """talenti_bound (x_radius None) or full_talenti_profile with the
+    rearrangement piece of every quadrature node looked up on its own."""
+    n, p = spec.n, spec.p
+    rho_max = (measure / unit_ball_volume(n)) ** (1.0 / n)
+    nwn = n * unit_ball_volume(n)
+    if x_radius is not None and x_radius >= rho_max:
+        return float(u_sup)
+
+    def bound_kernel(s):
+        F = np.abs(fs.cumulative(np.ravel(s))).reshape(np.shape(s))
+        return (F / (spec.delta * nwn
+                     * np.maximum(s, 1e-300) ** (n - 1))) ** (1.0 / (p - 1.0))
+
+    def profile_kernel(s):
+        F = np.abs(fs.cumulative(np.ravel(s))).reshape(np.shape(s))
+        return phi_inverse_array(
+            spec, F / (nwn * np.maximum(s, 1e-300) ** (n - 1)))
+
+    a = 0.0 if x_radius is None else float(x_radius)
+    kernel = bound_kernel if x_radius is None else profile_kernel
+    return float(u_sup) + float(integrate(
+        kernel, a, rho_max, rel_tol=1e-10, singular_left=(a == 0.0),
+        breakpoints=fs.radii[:-1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.floats(2.0, 4.0), n=st.sampled_from([2, 3]),
+       coeff=st.sampled_from(["plap", "smooth-bump"]),
+       C_f=st.floats(0.5, 2.0), eps=st.floats(0.5, 1.5),
+       R_out=st.floats(1.5, 2.5), samples=st.sampled_from([64, 512, 4096]),
+       where=st.sampled_from(["zero", "share", "radius"]),
+       share=st.floats(0.0, 1.0))
+def test_talenti_rows_match_a_per_node_lookup_bitwise(p, n, coeff, C_f, eps,
+                                                      R_out, samples, where,
+                                                      share):
+    spec = make_spec(p, n, coeff)
+    f = power_decay_source(spec, C_f, eps)
+    measure = unit_ball_volume(n) * (R_out ** n - 1.0)
+    fs = _source_rearrangement(f, n, measure, 1.0, R_out, samples)
+    rho_max = (measure / unit_ball_volume(n)) ** (1.0 / n)
+    x_radius = {"zero": 0.0, "share": share * rho_max,
+                "radius": fs.radii[int(share * (samples - 1))]}[where]
+    assert talenti_bound(0.3, fs, spec, measure) \
+        == _talenti_per_node(0.3, fs, spec, measure)
+    assert full_talenti_profile(0.3, fs, spec, measure, x_radius) \
+        == _talenti_per_node(0.3, fs, spec, measure, x_radius)
