@@ -20,7 +20,6 @@ folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at T + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -44,8 +43,7 @@ class AnnularMesh:
     The radii and angles are copied and read-only, and so is the geometry
     built from them once per mesh: cell and node measures, the radial steps
     dr, the angular steps rdtheta = r_mid * dtheta of the cells, the index
-    arrays theta_next and theta_prev of each angle's angular neighbours,
-    and (2D, on first use) the band layout of the interior unknowns.
+    arrays theta_next and theta_prev of each angle's angular neighbours.
     """
     n: int
     radii: np.ndarray
@@ -111,11 +109,6 @@ class AnnularMesh:
         """Control measures per node (cell measures split over corners),
         read-only."""
         return self._nodes
-
-    @cached_property
-    def band(self):
-        """The `_RingBand` layout of the interior unknowns (2D)."""
-        return _RingBand(self)
 
     def _dtheta(self):
         th = self.theta
@@ -488,7 +481,7 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
             g[-1] = 0.0
         return g
 
-    band = mesh.band if mesh.is_2d else None
+    band = _RingBand(mesh) if mesh.is_2d else None
     scale = max(1.0, float(np.max(np.abs(fvals))),
                 float(np.max(np.abs(values))))
     energy = J(values)

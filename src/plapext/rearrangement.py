@@ -59,14 +59,15 @@ class RearrangementData:
         idx = np.searchsorted(desc, -t, side="left")
         return self.measure_before[idx]
 
-    def cumulative(self, rho, rows=False):
-        """Integral of the rearranged function over the ball of radius rho.
+    def cumulative(self, rho):
+        """Integral of the rearranged function over the ball of radius rho."""
+        return self._cumulative(rho, rows=False)
 
-        rows: rho is 2D and each row lies within one piece between
-        consecutive `radii` (as the rows of an `integrate` integrand do
-        when the radii are breakpoints); the piece is then looked up once
-        per row, from its first entry, instead of once per element.
-        """
+    def _cumulative(self, rho, rows):
+        # rows: rho is 2D and each row lies within one piece between
+        # consecutive radii (as the rows of an `integrate` integrand do when
+        # the radii are breakpoints); the piece is then looked up once per
+        # row, from its first entry, instead of once per element
         rho = np.asarray(rho, dtype=float)
         meas = np.minimum(unit_ball_volume(self.n) * rho ** self.n,
                           self.total_measure)
@@ -130,7 +131,7 @@ def _integrate_kernel(kernel, f_star, a, b):
     # the kernels are smooth between consecutive rearrangement radii, so
     # with every radius a panel edge each piece passes without refinement;
     # no row of integrand nodes then crosses a radius, and the kernels look
-    # up the piece of each row once (`cumulative(rows=True)`)
+    # up the piece of each row once (`_cumulative(rows=True)`)
     return integrate(kernel, a, b, rel_tol=1e-10,
                      singular_left=(a == 0.0), breakpoints=f_star.radii[:-1])
 
@@ -152,7 +153,7 @@ def talenti_bound(u_boundary_sup, f, spec, Omega_measure, R_in=None,
 
     def kernel(s):
         s = np.asarray(s, dtype=float)
-        F = np.abs(fs.cumulative(s, rows=True))
+        F = np.abs(fs._cumulative(s, rows=True))
         return (F / (spec.delta * nwn
                      * np.maximum(s, 1e-300) ** (n - 1))) ** (1.0 / (p - 1.0))
 
@@ -177,7 +178,7 @@ def full_talenti_profile(u_boundary_sup, f, spec, Omega_measure, x_radius,
 
     def kernel(s):
         s = np.asarray(s, dtype=float)
-        F = np.abs(fs.cumulative(s, rows=True))
+        F = np.abs(fs._cumulative(s, rows=True))
         return phi_inverse_array(
             spec, F / (nwn * np.maximum(s, 1e-300) ** (n - 1)))
 
