@@ -7,14 +7,13 @@ The discrete problem minimizes the variational energy
 with Phi the antiderivative of phi, over nodal values with fixed Dirichlet
 traces.  Meshes are geometrically graded in radius (solutions vary on
 power/log scales); 2D polar meshes use one-sided differences in radius and
-forward differences in angle per cell.  The default nonlinear solve is a
-damped Newton method: the local Hessian w I + q g g^T of Phi(|g|) per cell
-is SPD, and an Armijo backtracking on J keeps the energy nonincreasing.
-A damped Picard iteration (freeze the coefficient phi(|g|)/|g|) and a
-mass-preconditioned descent are the alternatives.  The 1D systems are
-tridiagonal; the 2D ones are solved by a banded Cholesky factorization
-with the interior nodes ordered ring by ring and the angles of each ring
-folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at T + 2.
+forward differences in angle per cell.  The nonlinear solve is a damped
+Newton method: the local Hessian w I + q g g^T of Phi(|g|) per cell is
+SPD, and an Armijo backtracking on J keeps the energy nonincreasing.  The
+1D systems are tridiagonal; the 2D ones are solved by a banded Cholesky
+factorization with the interior nodes ordered ring by ring and the angles
+of each ring folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at
+T + 2.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
-from scipy.optimize import minimize_scalar
 
 from .operator_core import (DomainError, NonConvergenceError, phi_eval,
                             phi_prime, unit_ball_volume)
@@ -82,7 +80,7 @@ class AnnularMesh:
         quarter = 0.25 * cells
         for di in (0, 1):
             mu[di:M + di, :] += quarter
-            mu[di:M + di, :] += quarter[:, self.theta_next]
+            mu[di:M + di, :] += quarter[:, self.theta_prev]
         self._freeze("_nodes", mu)
 
     def _freeze(self, name, array):
@@ -299,7 +297,7 @@ def _cell_couplings(mesh, Mrr, Mrt, Mtt):
     Cell (i, j) differences its nodes a = (i, j), b = (i+1, j) and
     c = (i, j+1) by the rows of B: a -> (-br, -bt), b -> (br, 0),
     c -> (0, bt); M = [[Mrr, Mrt], [Mrt, Mtt]] is the cell's local Hessian
-    times the cell measure.
+    of Phi(|g|), w I + q g g^T, times the cell measure.
     """
     br = 1.0 / mesh.dr[:, None]
     bt = 1.0 / mesh.rdtheta
@@ -332,33 +330,17 @@ class _RingBand:
         # band position of every node, -1 on the two Dirichlet circles
         pos = np.full((M + 1, T), -1)
         pos[1:-1, :] = np.arange(M - 1)[:, None] * T + place[None, :]
-        node = np.arange((M + 1) * T).reshape(M + 1, T)
-
-        def ends(grid):
-            # the nodes a = (i, j), b = (i+1, j), c = (i, j+1) of each cell
-            na, nb = grid[:-1], grid[1:]
-            nc = na[:, mesh.theta_next]
-            return (np.stack((na, nb, nc, na, na, nb)).ravel(),
-                    np.stack((na, nb, nc, nb, nc, nc)).ravel())
-        x, y = ends(pos)
-        nx, ny = ends(node)
-        inner_x, inner_y = x >= 0, y >= 0
+        # the nodes a = (i, j), b = (i+1, j), c = (i, j+1) of each cell
+        na, nb = pos[:-1], pos[1:]
+        nc = na[:, mesh.theta_next]
+        x = np.stack((na, nb, nc, na, na, nb)).ravel()
+        y = np.stack((na, nb, nc, nb, nc, nc)).ravel()
         # entries of the interior block, stored once per symmetric pair
-        self.inner = np.flatnonzero(inner_x & inner_y)
+        self.inner = np.flatnonzero((x >= 0) & (y >= 0))
         lo = np.minimum(x, y)[self.inner]
         off = np.abs(x - y)[self.inner]
         self.kd = int(off.max(initial=0))
         self.band_index = lo * (self.kd + 1) + off   # column-major storage
-        # links from an interior node to a Dirichlet node
-        self.edge = np.flatnonzero(inner_x != inner_y)
-        self.edge_row = np.where(inner_x, nx, ny)[self.edge] - T
-        self.edge_node = np.where(inner_x, ny, nx)[self.edge]
-
-    def boundary_term(self, couplings, values):
-        """K[interior][:, fixed] @ values[fixed] on the interior grid."""
-        w = couplings.ravel()[self.edge] * values.ravel()[self.edge_node]
-        return np.bincount(self.edge_row, weights=w, minlength=self.order) \
-            .reshape(self.rings, self.T)
 
     def solve(self, couplings, rhs):
         """Solve the interior system for an interior-grid right-hand side."""
@@ -376,44 +358,6 @@ class _RingBand:
         out = np.empty_like(rhs)
         out[:, self.fold] = x.reshape(self.rings, self.T)
         return out
-
-
-def _picard_matrix_1d(mesh, spec, values):
-    h = mesh.dr
-    cells = mesh.cell_measures()
-    g = np.diff(values) / h
-    mag = np.maximum(np.abs(g), _GRAD_FLOOR)
-    w = phi_eval(spec, mag) / mag
-    return w * cells / h ** 2        # cell conductances c_i
-
-
-def _solve_picard_1d(mesh, spec, values, fvals):
-    c = _picard_matrix_1d(mesh, spec, values)
-    M = len(mesh.radii) - 1
-    mu = mesh.node_measures()
-    rhs = fvals[1:M] * mu[1:M]
-    rhs[0] += c[0] * values[0]
-    rhs[-1] += c[M - 1] * values[M]
-    ab = np.zeros((3, M - 1))
-    ab[0, 1:] = -c[1:M - 1]
-    ab[1, :] = c[:M - 1] + c[1:M]
-    ab[2, :-1] = -c[1:M - 1]
-    out = values.copy()
-    out[1:M] = solve_banded((1, 1), ab, rhs)
-    return out
-
-
-def _solve_picard_2d(mesh, spec, values, fvals, band):
-    grads = _cell_gradients(mesh, values)
-    mag = np.maximum(np.sqrt(grads[0] ** 2 + grads[1] ** 2), _GRAD_FLOOR)
-    wc = phi_eval(spec, mag) / mag * mesh.cell_measures()
-    # the frozen coefficient makes the local Hessian w I
-    K = _cell_couplings(mesh, wc, 0.0, wc)
-    rhs = (fvals * mesh.node_measures())[1:-1, :] \
-        - band.boundary_term(K, values)
-    out = values.copy()
-    out[1:-1, :] = band.solve(K, rhs)
-    return out
 
 
 def _newton_direction_1d(mesh, spec, values, grad):
@@ -450,8 +394,15 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
                     tol=1e-10, max_iter=400, initial=None):
     """Discrete energy minimizer with Dirichlet data on both circles.
 
+    The minimization is damped Newton, the only method: `method` accepts
+    "newton" alone and raises DomainError for anything else.  It stays a
+    keyword because the benchmark's polar2d workload and the `[solver]
+    method` key of `solve-annulus` pass it.
+
     Returns (GridFunction, EnergyReport).  Deterministic for fixed inputs.
     """
+    if method != "newton":
+        raise DomainError(f"unknown method {method!r}")
     fvals = _source_values(f, mesh)
     shape = fvals.shape
     values = np.zeros(shape) if initial is None \
@@ -492,53 +443,20 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     # iteration computes it, the direction of the next one reuses it
     g = grad_interior(values)
     for it in range(1, max_iter + 1):
-        if method == "newton":
-            if mesh.is_2d:
-                d = _newton_direction_2d(mesh, spec, values, g, band)
-            else:
-                d = _newton_direction_1d(mesh, spec, values, g)
-            gdot = float(np.sum(g * d))        # negative: descent direction
-            step = 1.0
-            new = values + d
-            e_new = J(new)
-            while e_new > energy + 1e-4 * step * gdot and step > 1e-12:
-                step *= 0.5
-                new = values + step * d
-                e_new = J(new)
-            if e_new > energy:
-                new, e_new = values, energy
-        elif method in ("damped_picard", "picard"):
-            if mesh.is_2d:
-                trial = _solve_picard_2d(mesh, spec, values, fvals, band)
-            else:
-                trial = _solve_picard_1d(mesh, spec, values, fvals)
-            d = trial - values
-            e_full = J(trial)
-            if e_full <= energy - 1e-13 * abs(energy):
-                new, e_new = trial, e_full
-            else:
-                # the undamped step can cycle for p far from 2; damp it by
-                # a bounded energy line search along the step direction
-                res = minimize_scalar(lambda s: J(values + s * d),
-                                      bounds=(0.0, 1.2), method="bounded",
-                                      options={"xatol": 1e-4})
-                new = values + res.x * d
-                e_new = J(new)
-                if e_new > energy:
-                    new, e_new = values, energy
-        elif method == "descent":
-            mu = mesh.node_measures()
-            direction = -g / np.maximum(mu, 1e-300)     # mass-preconditioned
-            gdot = float(np.sum(g * direction))
-            step = 1.0
-            new = values + step * direction
-            e_new = J(new)
-            while e_new > energy + 1e-4 * step * gdot and step > 1e-14:
-                step *= 0.5
-                new = values + step * direction
-                e_new = J(new)
+        if mesh.is_2d:
+            d = _newton_direction_2d(mesh, spec, values, g, band)
         else:
-            raise DomainError(f"unknown method {method!r}")
+            d = _newton_direction_1d(mesh, spec, values, g)
+        gdot = float(np.sum(g * d))        # negative: descent direction
+        step = 1.0
+        new = values + d
+        e_new = J(new)
+        while e_new > energy + 1e-4 * step * gdot and step > 1e-12:
+            step *= 0.5
+            new = values + step * d
+            e_new = J(new)
+        if e_new > energy:
+            new, e_new = values, energy
 
         delta = float(np.max(np.abs(new - values)))
         values, energy = new, e_new
@@ -568,8 +486,7 @@ class ExhaustionResult:
 
 def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
                      cells_per_doubling=16, tol=1e-10, rho=4.0,
-                     mesh_factory=None, method="newton",
-                     max_iter=400):
+                     mesh_factory=None, max_iter=400):
     """Truncated-domain sweep: solve on B_(R_m) minus the unit ball with the
     given inner trace and zero outer trace, for R_m = R0 2^m.  Raises
     NonConvergenceError if the solve of some level does not converge."""
@@ -588,7 +505,7 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
             mesh = radial_mesh(spec.n, 1.0, Rm, max(num, 8))
         u, rep = solve_dirichlet(mesh, spec, f,
                                  {"inner": inner_boundary_data, "outer": 0.0},
-                                 method=method, tol=tol, max_iter=max_iter)
+                                 tol=tol, max_iter=max_iter)
         if not rep.converged:
             raise NonConvergenceError(
                 f"exhaustion level m={m} (R_m={Rm:g}) did not converge: "

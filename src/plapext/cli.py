@@ -192,7 +192,7 @@ def _radii_grid(cfg, section="radii", default=(0.1, 10.0, 100, "geom")):
     raise ConfigError(f"unknown spacing {spacing!r}")
 
 
-def cmd_barrier(cfg, out_dir, seed, quiet):
+def cmd_barrier(cfg, out_dir, quiet):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     family = cfg.get("barrier", "family")
@@ -229,7 +229,7 @@ def cmd_barrier(cfg, out_dir, seed, quiet):
     return ["barrier.csv", "summary.json"]
 
 
-def cmd_solve_radial(cfg, out_dir, seed, quiet):
+def cmd_solve_radial(cfg, out_dir, quiet):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     R_in = cfg.get_float("geometry", "R_in")
@@ -273,7 +273,7 @@ def _mesh_from_config(cfg, spec):
     raise ConfigError("mesh dim must be 1 or 2")
 
 
-def cmd_solve_annulus(cfg, out_dir, seed, quiet):
+def cmd_solve_annulus(cfg, out_dir, quiet):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     mesh = _mesh_from_config(cfg, spec)
@@ -302,7 +302,7 @@ def cmd_solve_annulus(cfg, out_dir, seed, quiet):
     return ["solution.csv", "summary.json"]
 
 
-def cmd_exhaust(cfg, out_dir, seed, quiet):
+def cmd_exhaust(cfg, out_dir, quiet):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     inner = cfg.get_float("exhaust", "inner_value", 1.0)
@@ -330,7 +330,7 @@ def cmd_exhaust(cfg, out_dir, seed, quiet):
     return ["exhaust.csv", "summary.json"]
 
 
-def cmd_rearrange(cfg, out_dir, seed, quiet):
+def cmd_rearrange(cfg, out_dir, quiet):
     n = cfg.get_int("rearrange", "n", 2)
     raw_v = cfg.get("rearrange", "values")
     raw_m = cfg.get("rearrange", "measures")
@@ -355,7 +355,7 @@ def cmd_rearrange(cfg, out_dir, seed, quiet):
     return ["decreasing.csv", "profile.csv", "summary.json"]
 
 
-def cmd_asymptotics(cfg, out_dir, seed, quiet):
+def cmd_asymptotics(cfg, out_dir, quiet):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     u_in = cfg.get_float("boundary", "u_in", 0.0)
@@ -397,7 +397,7 @@ def cmd_asymptotics(cfg, out_dir, seed, quiet):
     return ["asymptotics.json"]
 
 
-def cmd_counterexample(cfg, out_dir, seed, quiet):
+def cmd_counterexample(cfg, out_dir, quiet):
     p = cfg.get_float("counterexample", "p", 3.0)
     n = cfg.get_int("counterexample", "n", 2)
     r_max = cfg.get_float("counterexample", "r_max", 1e6)
@@ -429,7 +429,7 @@ HANDLERS = {
 }
 
 
-def cmd_suite(cfg, out_dir, seed, quiet):
+def cmd_suite(cfg, out_dir, quiet):
     names_raw = cfg.get("suite", "experiments")
     names = [s.strip() for s in names_raw.split(",") if s.strip()]
     summary = {}
@@ -444,7 +444,7 @@ def cmd_suite(cfg, out_dir, seed, quiet):
         sub_cfg = load_config(base / cfg.get(name, "config"))
         sub_dir = out_dir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
-        files = HANDLERS[sub](sub_cfg, sub_dir, seed, quiet)
+        files = HANDLERS[sub](sub_cfg, sub_dir, quiet)
         write_manifest(sub_dir, sub_cfg, files)
         summary[name] = {
             "subcommand": sub,
@@ -462,16 +462,16 @@ def cmd_suite(cfg, out_dir, seed, quiet):
 # ---------------------------------------------------------------------------
 # entry point
 
-def run(subcommand, config_path, out_dir, seed=0, quiet=False):
+def run(subcommand, config_path, out_dir, quiet=False):
     """Execute one subcommand; returns the process exit code."""
     try:
         cfg = load_config(config_path)
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if subcommand == "suite":
-            files = cmd_suite(cfg, out_dir, seed, quiet)
+            files = cmd_suite(cfg, out_dir, quiet)
         elif subcommand in HANDLERS:
-            files = HANDLERS[subcommand](cfg, out_dir, seed, quiet)
+            files = HANDLERS[subcommand](cfg, out_dir, quiet)
         else:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         write_manifest(out_dir, cfg, files)
@@ -497,11 +497,9 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(HANDLERS) + ["suite"])
     parser.add_argument("--config", required=True, help="key=value config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out,
-               seed=args.seed, quiet=args.quiet)
+    return run(args.subcommand, args.config, args.out, quiet=args.quiet)
 
 
 if __name__ == "__main__":

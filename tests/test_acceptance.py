@@ -327,7 +327,7 @@ config = counter.cfg
     outs = []
     for run_dir in ("o1", "o2"):
         out = tmp_path / run_dir
-        assert cli.run("suite", tmp_path / "suite.cfg", out, seed=0,
+        assert cli.run("suite", tmp_path / "suite.cfg", out,
                        quiet=True) == 0
         outs.append(out)
     mismatches = []

@@ -187,6 +187,25 @@ tol = 1e-14
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 3
 
 
+def test_unknown_solver_method_gives_config_error(tmp_path):
+    cfg = write(tmp_path / "a.cfg", """\
+[operator]
+p = 3
+n = 2
+
+[geometry]
+R_in = 1.0
+R_out = 2.0
+
+[boundary]
+u_in = 1.0
+
+[solver]
+method = picard
+""")
+    assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 2
+
+
 def test_manifest_has_checksums_and_versions(tmp_path):
     cfg = write(tmp_path / "c.cfg", COUNTER_CFG)
     out = tmp_path / "out"
