@@ -21,7 +21,7 @@ from .operator_core import (ConditionReport, DomainError, NonConvergenceError,
                             OperatorSpec, make_spec, phi_eval, phi_inverse,
                             phi_inverse_array, phi_inverse_bracket,
                             unit_ball_volume, validate_conditions)
-from .quadrature import DivergenceError, integrate, tail_integral
+from .quadrature import DivergenceError, integrate
 from .radial_solver import (RadialSolution, exterior_limit, flux_residual,
                             solve_exterior_radial, solve_radial_bvp)
 from .rearrangement import (RearrangementData, full_talenti_profile,
@@ -29,6 +29,5 @@ from .rearrangement import (RearrangementData, full_talenti_profile,
 from .source_terms import (NormConditionReport, SourceTerm, annulus_norm,
                            check_decay, check_part_b_conditions,
                            counterexample_residual, counterexample_source,
-                           counterexample_u, exterior_norm, grid_source,
-                           harnack_K, power_decay_source, source_from_name,
-                           zero_source)
+                           counterexample_u, exterior_norm, harnack_K,
+                           power_decay_source, source_from_name, zero_source)

@@ -158,12 +158,6 @@ class GridFunction:
         if self.values.shape != expect:
             raise DomainError(f"values shape {self.values.shape} != {expect}")
 
-    def inner_trace(self):
-        return self.values[0] if self.mesh.is_2d else float(self.values[0])
-
-    def outer_trace(self):
-        return self.values[-1] if self.mesh.is_2d else float(self.values[-1])
-
     def at_radius(self, R):
         """Values on the sphere of radius R (linear interpolation in r)."""
         r = self.mesh.radii
@@ -194,8 +188,6 @@ def _source_values(f, mesh):
         shape = (len(mesh.radii),) if not mesh.is_2d else \
             (len(mesh.radii), len(mesh.theta))
         return np.zeros(shape)
-    if getattr(f, "kind", None) == "grid_samples":
-        return np.asarray(f.grid_values, dtype=float)
     vals = np.asarray(f(mesh.radii), dtype=float)
     if mesh.is_2d:
         vals = np.repeat(vals[:, None], len(mesh.theta), axis=1)

@@ -58,7 +58,7 @@ def _values_on_spheres(u, radii):
 def _domain_outer_radius(u):
     if hasattr(u, "mesh"):
         return u.mesh.R_out
-    far = getattr(u, "_far_edge", None)
+    far = getattr(u, "far_edge", None)
     if far is not None:
         return float(far)
     if hasattr(u, "R_out") and math.isfinite(u.R_out):

@@ -50,7 +50,6 @@ class Barrier:
     spec: object
     a: float
     R: float
-    center_radius: float = 0.0
     C_integration: float = 0.0
     f_sup: float = 0.0
     C_f: float = 0.0
@@ -181,10 +180,8 @@ def make_lemma1_prime(spec, R, f, a):
         raise DomainError("lemma1' barriers require a decay-tagged source")
     f_sup = f.C_f * R ** (-spec.p - f.eps)
     C = R ** spec.n * f_sup / spec.n + a ** (spec.p - 1.0)
-    b = Barrier(family="lemma1_prime", spec=spec, a=float(a), R=float(R),
-                center_radius=2.0 * R, C_integration=C, f_sup=f_sup)
-    b.C_f, b.eps = f.C_f, f.eps
-    return b
+    return Barrier(family="lemma1_prime", spec=spec, a=float(a), R=float(R),
+                   C_integration=C, f_sup=f_sup, C_f=f.C_f, eps=f.eps)
 
 
 def make_lemma2_prime(spec, R, f, a):

@@ -192,7 +192,7 @@ def _radii_grid(cfg, section="radii", default=(0.1, 10.0, 100, "geom")):
     raise ConfigError(f"unknown spacing {spacing!r}")
 
 
-def cmd_barrier(cfg, out_dir, quiet):
+def cmd_barrier(cfg, out_dir):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     family = cfg.get("barrier", "family")
@@ -229,7 +229,7 @@ def cmd_barrier(cfg, out_dir, quiet):
     return ["barrier.csv", "summary.json"]
 
 
-def cmd_solve_radial(cfg, out_dir, quiet):
+def cmd_solve_radial(cfg, out_dir):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     R_in = cfg.get_float("geometry", "R_in")
@@ -238,7 +238,7 @@ def cmd_solve_radial(cfg, out_dir, quiet):
     if R_out_raw in ("inf", "infinity"):
         sol = solve_exterior_radial(spec, f, u_in, R_in=R_in)
         limit = exterior_limit(sol)
-        sample_top = getattr(sol, "_far_edge")
+        sample_top = sol.far_edge
     else:
         R_out = float(R_out_raw)
         u_out = cfg.get_float("boundary", "u_out", 0.0)
@@ -273,7 +273,7 @@ def _mesh_from_config(cfg, spec):
     raise ConfigError("mesh dim must be 1 or 2")
 
 
-def cmd_solve_annulus(cfg, out_dir, quiet):
+def cmd_solve_annulus(cfg, out_dir):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     mesh = _mesh_from_config(cfg, spec)
@@ -302,7 +302,7 @@ def cmd_solve_annulus(cfg, out_dir, quiet):
     return ["solution.csv", "summary.json"]
 
 
-def cmd_exhaust(cfg, out_dir, quiet):
+def cmd_exhaust(cfg, out_dir):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     inner = cfg.get_float("exhaust", "inner_value", 1.0)
@@ -330,7 +330,7 @@ def cmd_exhaust(cfg, out_dir, quiet):
     return ["exhaust.csv", "summary.json"]
 
 
-def cmd_rearrange(cfg, out_dir, quiet):
+def cmd_rearrange(cfg, out_dir):
     n = cfg.get_int("rearrange", "n", 2)
     raw_v = cfg.get("rearrange", "values")
     raw_m = cfg.get("rearrange", "measures")
@@ -355,7 +355,7 @@ def cmd_rearrange(cfg, out_dir, quiet):
     return ["decreasing.csv", "profile.csv", "summary.json"]
 
 
-def cmd_asymptotics(cfg, out_dir, quiet):
+def cmd_asymptotics(cfg, out_dir):
     spec = build_spec(cfg)
     f = build_source(cfg, spec)
     u_in = cfg.get_float("boundary", "u_in", 0.0)
@@ -363,7 +363,7 @@ def cmd_asymptotics(cfg, out_dir, quiet):
     k_max = cfg.get_int("asymptotics", "dyadic_levels", 10)
     sol = solve_exterior_radial(spec, f, u_in, R_in=R_in)
     limit = exterior_limit(sol)
-    top = getattr(sol, "_far_edge")
+    top = sol.far_edge
     radii = [R_in * 2.0 ** k for k in range(k_max + 1)
              if R_in * 2.0 ** k <= top]
     stats = sphere_stats(sol, radii)
@@ -397,7 +397,7 @@ def cmd_asymptotics(cfg, out_dir, quiet):
     return ["asymptotics.json"]
 
 
-def cmd_counterexample(cfg, out_dir, quiet):
+def cmd_counterexample(cfg, out_dir):
     p = cfg.get_float("counterexample", "p", 3.0)
     n = cfg.get_int("counterexample", "n", 2)
     r_max = cfg.get_float("counterexample", "r_max", 1e6)
@@ -444,7 +444,7 @@ def cmd_suite(cfg, out_dir, quiet):
         sub_cfg = load_config(base / cfg.get(name, "config"))
         sub_dir = out_dir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
-        files = HANDLERS[sub](sub_cfg, sub_dir, quiet)
+        files = HANDLERS[sub](sub_cfg, sub_dir)
         write_manifest(sub_dir, sub_cfg, files)
         summary[name] = {
             "subcommand": sub,
@@ -471,7 +471,7 @@ def run(subcommand, config_path, out_dir, quiet=False):
         if subcommand == "suite":
             files = cmd_suite(cfg, out_dir, quiet)
         elif subcommand in HANDLERS:
-            files = HANDLERS[subcommand](cfg, out_dir, quiet)
+            files = HANDLERS[subcommand](cfg, out_dir)
         else:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         write_manifest(out_dir, cfg, files)

@@ -253,9 +253,3 @@ def tail_panel_sums(g, a, rel_tol=1e-12, settle_tol=1e-14, max_panels=1000):
             break
     raise DivergenceError(
         f"tail integral from {a} failed the convergence test")
-
-
-def tail_integral(g, a, rel_tol=1e-12):
-    """Value of the improper integral of g over [a, inf)."""
-    _, sums = tail_panel_sums(g, a, rel_tol=rel_tol)
-    return float(np.sum(sums))

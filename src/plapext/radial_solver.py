@@ -27,15 +27,20 @@ from .quadrature import (cumulative_integral, gauss_rule, integrate,
 _TAIL_PANELS_PER_CALL = 16
 
 
+def _panel_sums(g, lo, hi):
+    """8-point Gauss-Legendre integrals of the elementwise g over the
+    panels [lo, hi], arrays of any (broadcast) shape."""
+    x, w = gauss_rule(8)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[..., None] + half[..., None] * x
+    return half * (g(nodes.ravel()).reshape(nodes.shape) @ w)
+
+
 def _cumulative_spline(g, edges):
     """Antiderivative of g on a grid, as a C^1 spline with exact slopes."""
     edges = np.asarray(edges, dtype=float)
-    x, w = gauss_rule(8)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    panel = half * (g(nodes.ravel()).reshape(nodes.shape) @ w)
+    panel = _panel_sums(g, edges[:-1], edges[1:])
     F = np.concatenate(([0.0], np.cumsum(panel)))
     return CubicHermiteSpline(edges, F, g(edges))
 
@@ -49,6 +54,7 @@ class RadialSolution:
     u_in: float
     C_flux: float
     _flux_num: object = None      # vectorized r -> C - F(r)
+    far_edge: float | None = None  # exterior: end of the source tail sweep
 
     def u_prime(self, r):
         r = np.asarray(r, dtype=float)
@@ -144,23 +150,16 @@ def solve_exterior_radial(spec, f, u_in, R_in=1.0):
     far = float(edges[-1])
     # tail integral T(r) accumulated right-to-left (small terms first), so
     # its relative accuracy is uniform down to the far edge — no
-    # cancellation against the full integral
-    x, w = gauss_rule(8)
-
-    def panel_sums(edges_):
-        mid = 0.5 * (edges_[:-1] + edges_[1:])
-        half = 0.5 * (edges_[1:] - edges_[:-1])
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        return half * (g(nodes.ravel()).reshape(nodes.shape) @ w)
-
-    # source tail left over beyond the far edge; tiny in absolute terms but
-    # it sets the scale of T near the edge, where phi^{-1} is most sensitive
+    # cancellation against the full integral.  The source tail left over
+    # beyond the far edge is tiny in absolute terms, but it sets the scale
+    # of T near the edge, where phi^{-1} is most sensitive.
     beyond_edges = far * 2.0 ** np.arange(201)
     beyond_edges = beyond_edges[np.isfinite(beyond_edges)]
-    beyond = float(np.sum(panel_sums(beyond_edges)[::-1]))
+    beyond = float(np.sum(
+        _panel_sums(g, beyond_edges[:-1], beyond_edges[1:])[::-1]))
 
     dense = np.geomspace(R_in, far, 4097)
-    panel = panel_sums(dense)
+    panel = _panel_sums(g, dense[:-1], dense[1:])
     tails = beyond + np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
     T = CubicHermiteSpline(dense, tails, -g(dense))
     total = float(tails[0])
@@ -169,10 +168,9 @@ def solve_exterior_radial(spec, f, u_in, R_in=1.0):
         r = np.asarray(r, dtype=float)
         return T(np.minimum(r, far))
 
-    sol = RadialSolution(spec=spec, f=f, R_in=R_in, R_out=np.inf,
-                         u_in=u_in, C_flux=total, _flux_num=flux_num)
-    sol._far_edge = far
-    return sol
+    return RadialSolution(spec=spec, f=f, R_in=R_in, R_out=np.inf,
+                          u_in=u_in, C_flux=total, _flux_num=flux_num,
+                          far_edge=far)
 
 
 def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
@@ -186,11 +184,8 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
     """
     edges = far * 2.0 ** np.arange(max_panels + 1)
     edges = edges[np.isfinite(edges)]
-    x8, w8 = gauss_rule(8)
     lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x8[None, :]
-    panel_g = half * (g(nodes.ravel()).reshape(nodes.shape) @ w8)
+    panel_g = _panel_sums(g, lo, hi)
     T_edges = np.concatenate((np.cumsum(panel_g[::-1])[::-1], [0.0]))
 
     total = 0.0
@@ -202,9 +197,7 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
         pts = 0.5 * (a + b) + 0.5 * (b - a) * x16
         # source tail at each node: T(edge right) plus the in-panel
         # remainder over [node, b], each by one 8-point rule
-        m2, h2 = 0.5 * (pts + b), 0.5 * (b - pts)
-        rem_nodes = m2[..., None] + h2[..., None] * x8
-        rem = h2 * (g(rem_nodes.ravel()).reshape(rem_nodes.shape) @ w8)
+        rem = _panel_sums(g, pts, b)
         T_nodes = T_edges[start + 1:start + 1 + len(pts), None] + rem
         up = phi_inverse_signed(spec, T_nodes / pts ** (n - 1.0))
         for contrib in 0.5 * (hi[blk] - lo[blk]) * (up @ w16):
@@ -219,14 +212,11 @@ def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
 
 def exterior_limit(sol):
     """Limit at infinity of a bounded exterior radial solution."""
-    far = getattr(sol, "_far_edge", None)
+    far = sol.far_edge
     if far is None:
         raise DomainError("limit is defined for exterior solutions only")
-    tail = getattr(sol, "_limit_tail", None)
-    if tail is None:
-        tail = _uprime_tail(sol.spec, _source_density(sol.f, sol.spec.n),
-                            far, sol.spec.n)
-        sol._limit_tail = tail
+    tail = _uprime_tail(sol.spec, _source_density(sol.f, sol.spec.n), far,
+                        sol.spec.n)
     # u(far) over dyadic pieces: one piece from R_in to far would have to
     # be bisected into the power-law decay of u' (far reaches 1e28)
     dyadic = sol.R_in * 2.0 ** np.arange(1, np.log2(far / sol.R_in))

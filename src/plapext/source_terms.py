@@ -20,25 +20,19 @@ from .quadrature import DivergenceError, integrate, tail_panel_sums
 
 @dataclass
 class SourceTerm:
-    kind: str = "radial_profile"        # radial_profile | grid_samples
+    """Radial source f(r): a vectorized profile (None means f = 0) and an
+    optional decay tag (C_f, eps) valid from r0 on."""
+
     profile: object = None              # vectorized callable of radius
     C_f: float | None = None
     eps: float | None = None
     r0: float = 1.0
     name: str = "zero"
-    grid_values: object = None
-    grid_measures: object = None
-    grid_radii: object = None
     _tail_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.profile is None and self.kind == "radial_profile":
+        if self.profile is None:
             self.profile = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        if self.kind == "grid_samples":
-            vals = np.asarray(self.grid_values, dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise DomainError("grid samples must be finite")
-            self.grid_values = vals
 
     @property
     def decay_tagged(self):
@@ -113,13 +107,6 @@ def expression_source(text):
     return SourceTerm(profile=prof, name=f"expr:{text}")
 
 
-def grid_source(values, radii, measures):
-    return SourceTerm(kind="grid_samples", grid_values=values,
-                      grid_radii=np.asarray(radii, dtype=float),
-                      grid_measures=np.asarray(measures, dtype=float),
-                      name="grid")
-
-
 def source_from_name(name, spec):
     if name == "zero":
         return zero_source()
@@ -160,17 +147,12 @@ def _radial_weight(n):
 def annulus_norm(f, n, q, R_in, R_out, rel_tol=1e-12):
     """(integral over the annulus of |f|^q)^(1/q) by radial quadrature.
 
-    R_out may be inf for radial profiles; a DivergenceError signals a
-    non-integrable tail.
+    R_out may be inf; a DivergenceError signals a non-integrable tail.
     """
     if q < 1:
         raise DomainError("Lebesgue exponent q must be >= 1")
     if not R_in < R_out:
         raise DomainError("need R_in < R_out")
-    if f.kind == "grid_samples":
-        mask = (f.grid_radii >= R_in) & (f.grid_radii <= R_out)
-        return float(np.sum(np.abs(f.grid_values[mask]) ** q
-                            * f.grid_measures[mask]) ** (1.0 / q))
     w = _radial_weight(n)
     g = lambda r: w * np.abs(f(r)) ** q * r ** (n - 1.0)
     if np.isinf(R_out):
@@ -184,25 +166,21 @@ def annulus_norm(f, n, q, R_in, R_out, rel_tol=1e-12):
 
 def _tail_from(f, n, q, R, rel_tol=1e-12):
     """Integral of |f|^q over the exterior of B_R, cached at dyadic edges."""
+    w = _radial_weight(n)
+    g = lambda r: w * np.abs(f(r)) ** q * r ** (n - 1.0)
     key = (q, n)
     if key not in f._tail_cache:
-        w = _radial_weight(n)
-        g = lambda r: w * np.abs(f(r)) ** q * r ** (n - 1.0)
         edges, sums = tail_panel_sums(g, 1.0, rel_tol=rel_tol)
         f._tail_cache[key] = (edges, np.asarray(sums))
     edges, sums = f._tail_cache[key]
     if R <= edges[0]:
-        extra = integrate(
-            lambda r: _radial_weight(n) * np.abs(f(r)) ** q * r ** (n - 1.0),
-            R, edges[0], rel_tol=rel_tol)
+        extra = integrate(g, R, edges[0], rel_tol=rel_tol)
         return float(extra + np.sum(sums))
     # accumulate whole panels beyond R plus the partial panel containing R
     idx = np.searchsorted(edges, R, side="left")
     if idx >= len(edges):
         return 0.0
-    partial = integrate(
-        lambda r: _radial_weight(n) * np.abs(f(r)) ** q * r ** (n - 1.0),
-        R, float(edges[idx]), rel_tol=rel_tol)
+    partial = integrate(g, R, float(edges[idx]), rel_tol=rel_tol)
     return float(partial + np.sum(sums[idx:]))
 
 

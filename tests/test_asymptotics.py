@@ -130,7 +130,7 @@ def test_envelope_in_one_pass_matches_radius_by_radius():
     class OneByOne:
         def value(self, r):
             return sol.value(r)
-        _far_edge = sol._far_edge
+        far_edge = sol.far_edge
 
     radii = 2.0 ** np.arange(1, 7)
     worst = envelope_check(sol, f, spec, radii)
@@ -142,7 +142,7 @@ def test_envelope_in_one_pass_matches_radius_by_radius():
     for R in radii:
         m = sol.value(R)
         half = C0 * R ** (-f.eps / (spec.p - 1.0))
-        v = sol.values(np.geomspace(R, sol._far_edge, 48))
+        v = sol.values(np.geomspace(R, sol.far_edge, 48))
         ref = min(ref, np.min(v) - (m - half), (m + half) - np.max(v))
     assert worst == pytest.approx(ref, abs=1e-11)
     batch = sphere_stats(sol, radii)

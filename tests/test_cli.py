@@ -206,6 +206,24 @@ method = picard
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 2
 
 
+def test_non_monotone_phi_gives_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "m.cfg", """\
+[operator]
+p = 1.2
+n = 2
+coefficient = smooth-bump
+
+[geometry]
+R_in = 1.0
+R_out = 2.0
+
+[boundary]
+u_in = 1.0
+""")
+    assert cli.run("solve-radial", cfg, tmp_path / "o", quiet=True) == 2
+    assert "(iii) phi strictly increasing" in capsys.readouterr().err
+
+
 def test_manifest_has_checksums_and_versions(tmp_path):
     cfg = write(tmp_path / "c.cfg", COUNTER_CFG)
     out = tmp_path / "out"

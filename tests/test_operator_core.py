@@ -111,6 +111,18 @@ def test_validate_conditions_smooth_bump():
     assert report.all_passed
 
 
+@pytest.mark.parametrize("p", [1.2, 1.3])
+def test_non_monotone_phi_rejected(p):
+    # smooth-bump's phi decreases on part of (1, 3) for p <= 1.3
+    with pytest.raises(DomainError, match=r"\(iii\) phi strictly increasing"):
+        make_spec(p, 2, "smooth-bump")
+
+
+def test_monotone_phi_from_p_1_4_builds():
+    spec = make_spec(1.4, 2, "smooth-bump")
+    assert validate_conditions(spec).all_passed
+
+
 def test_bad_spec_rejected():
     with pytest.raises(DomainError):
         make_spec(1.0, 2)

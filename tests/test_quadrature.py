@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from plapext import NonConvergenceError, make_lemma1, make_spec
 from plapext.quadrature import (DivergenceError, cumulative_integral,
                                 gauss_rule, integrate, integrate_pieces,
-                                tail_integral, tail_panel_sums)
+                                tail_panel_sums)
+
+
+def _tail_sum(g, a):
+    """The improper integral of g over [a, inf): the doubling panels' sum."""
+    return float(np.sum(tail_panel_sums(g, a)[1]))
 
 
 def test_polynomial_exact():
@@ -32,27 +37,27 @@ def test_breakpoint_kink():
 
 def test_tail_integral_power():
     # int_1^inf r^-2 dr = 1; int_2^inf r^-3 dr = 1/8
-    assert tail_integral(lambda r: r ** -2.0, 1.0) == pytest.approx(1.0, rel=1e-11)
-    assert tail_integral(lambda r: r ** -3.0, 2.0) == pytest.approx(0.125, rel=1e-11)
+    assert _tail_sum(lambda r: r ** -2.0, 1.0) == pytest.approx(1.0, rel=1e-11)
+    assert _tail_sum(lambda r: r ** -3.0, 2.0) == pytest.approx(0.125, rel=1e-11)
 
 
 def test_tail_integral_exponential():
-    val = tail_integral(lambda r: np.exp(-r), 1.0)
+    val = _tail_sum(lambda r: np.exp(-r), 1.0)
     assert val == pytest.approx(np.exp(-1.0), rel=1e-11)
 
 
 def test_tail_divergence_detected():
     with pytest.raises(DivergenceError):
-        tail_integral(lambda r: 1.0 / r, 1.0)
+        _tail_sum(lambda r: 1.0 / r, 1.0)
     with pytest.raises(DivergenceError):
-        tail_integral(lambda r: np.ones_like(r), 1.0)
+        _tail_sum(lambda r: np.ones_like(r), 1.0)
 
 
 def test_tail_divergence_with_underflowing_integrand():
     # 1/(r log^0.9 r) diverges although the integrand underflows far out;
     # the growing-panel test must catch it before settling on zeros
     with pytest.raises(DivergenceError):
-        tail_integral(lambda r: 1.0 / (r * np.log(r) ** 0.9), 2.0)
+        _tail_sum(lambda r: 1.0 / (r * np.log(r) ** 0.9), 2.0)
 
 
 def test_singular_left_against_mpmath():
