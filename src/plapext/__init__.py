@@ -22,8 +22,9 @@ from .operator_core import (ConditionReport, DomainError, NonConvergenceError,
                             phi_inverse_array, phi_inverse_bracket,
                             unit_ball_volume, validate_conditions)
 from .quadrature import DivergenceError, integrate
-from .radial_solver import (RadialSolution, exterior_limit, flux_residual,
-                            solve_exterior_radial, solve_radial_bvp)
+from .radial_solver import (RadialProfile, RadialSolution, exterior_limit,
+                            flux_residual, solve_exterior_radial,
+                            solve_radial_bvp)
 from .rearrangement import (RearrangementData, full_talenti_profile,
                             rearrange, rearrange_samples, talenti_bound)
 from .source_terms import (NormConditionReport, SourceTerm, annulus_norm,

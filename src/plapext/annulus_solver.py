@@ -29,6 +29,11 @@ from .operator_core import (DomainError, NonConvergenceError, phi_eval,
 from .quadrature import gauss_rule
 
 _GRAD_FLOOR = 1e-12
+_EXHAUST_RHO = 4.0     # exhaust_exterior compares levels on [1, rho]
+# holder_modulus takes every node pair up to this many, else this many
+# draws from a generator with this seed
+_HOLDER_MAX_PAIRS = 400_000
+_HOLDER_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +482,20 @@ class ExhaustionResult:
 
 
 def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
-                     cells_per_doubling=16, tol=1e-10, rho=4.0,
-                     mesh_factory=None, max_iter=400):
+                     cells_per_doubling=16, tol=1e-10, max_iter=400):
     """Truncated-domain sweep: solve on B_(R_m) minus the unit ball with the
     given inner trace and zero outer trace, for R_m = R0 2^m.  Raises
     NonConvergenceError if the solve of some level does not converge."""
     if not spec.p > spec.n and not np.isscalar(inner_boundary_data):
         raise DomainError("angular exhaustion data requires the p > n regime")
     sols, sups, devs, schedule = [], [], [], []
-    compare_radii = np.geomspace(1.0, rho, 33)
+    compare_radii = np.geomspace(1.0, _EXHAUST_RHO, 33)
     prev = None
     for m in range(m_max + 1):
         Rm = R0 * 2.0 ** m
         schedule.append(Rm)
-        if mesh_factory is not None:
-            mesh = mesh_factory(Rm)
-        else:
-            num = int(np.ceil(cells_per_doubling * np.log2(Rm)))
-            mesh = radial_mesh(spec.n, 1.0, Rm, max(num, 8))
+        num = int(np.ceil(cells_per_doubling * np.log2(Rm)))
+        mesh = radial_mesh(spec.n, 1.0, Rm, max(num, 8))
         u, rep = solve_dirichlet(mesh, spec, f,
                                  {"inner": inner_boundary_data, "outer": 0.0},
                                  tol=tol, max_iter=max_iter)
@@ -506,7 +507,7 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
         sols.append(u)
         sups.append(float(np.max(u.values)))
         if prev is not None:
-            top = min(rho, prev.mesh.R_out)
+            top = min(_EXHAUST_RHO, prev.mesh.R_out)
             d = max(float(np.max(np.abs(u.at_radius(R) - prev.at_radius(R))))
                     for R in compare_radii if R <= top)
             devs.append(d)
@@ -515,7 +516,7 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
                             sups=sups, deviations=devs, final=prev)
 
 
-def holder_modulus(u, alpha, max_pairs=400_000, seed=0, region=None):
+def holder_modulus(u, alpha, region=None):
     """Sampled Holder seminorm estimate: max |u(x)-u(y)| / |x-y|^alpha over
     node pairs with |x-y| <= diam/4.
 
@@ -538,12 +539,12 @@ def holder_modulus(u, alpha, max_pairs=400_000, seed=0, region=None):
     diam = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))) * 2.0
     cutoff = diam / 4.0
     best = 0.0
-    if N * (N - 1) // 2 <= max_pairs:
+    if N * (N - 1) // 2 <= _HOLDER_MAX_PAIRS:
         ii, jj = np.triu_indices(N, k=1)
     else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, N, size=max_pairs)
-        jj = rng.integers(0, N, size=max_pairs)
+        rng = np.random.default_rng(_HOLDER_SEED)
+        ii = rng.integers(0, N, size=_HOLDER_MAX_PAIRS)
+        jj = rng.integers(0, N, size=_HOLDER_MAX_PAIRS)
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
@@ -555,11 +556,13 @@ def holder_modulus(u, alpha, max_pairs=400_000, seed=0, region=None):
 
 
 def comparison_check(u, v, tol=1e-9):
-    """True iff u <= v + tol at every node (same mesh required).
+    """True iff u <= v + tol at every node (same radii and angles required).
 
     The caller is responsible for the ordering hypotheses (boundary traces
     and sources); this routine verifies the nodal conclusion.
     """
-    if u.mesh is not v.mesh and not np.array_equal(u.mesh.radii, v.mesh.radii):
+    a, b = u.mesh, v.mesh
+    if not (np.array_equal(a.radii, b.radii) and
+            np.array_equal(a.theta, b.theta)):
         raise DomainError("comparison requires a common mesh")
     return bool(np.all(u.values <= v.values + tol))

@@ -17,6 +17,9 @@ from .barriers import lemma2prime_C0
 from .operator_core import DomainError
 from .source_terms import counterexample_residual, harnack_K
 
+_SAMPLES_BEYOND = 48    # envelope_check: radii sampled beyond each R
+_DECAY_FLOOR = 1e-13    # decay_fit: relative floor of oscillations, gaps
+
 
 # ---------------------------------------------------------------------------
 # sphere statistics
@@ -40,9 +43,9 @@ class SphereStats:
 def _values_on_spheres(u, radii):
     """Values of u on the sphere of each radius, one array per radius.
 
-    A radial profile with a `values` method is evaluated at all radii in
-    one pass; 2D solutions (`at_radius`), objects with `value` and plain
-    callables one radius at a time.
+    A `RadialProfile` (a radial solution or a barrier) is evaluated at all
+    radii in one pass by `values`; 2D solutions (`at_radius`), objects with
+    `value` and plain callables one radius at a time.
     """
     radii = [float(R) for R in radii]
     if hasattr(u, "at_radius"):
@@ -58,12 +61,7 @@ def _values_on_spheres(u, radii):
 def _domain_outer_radius(u):
     if hasattr(u, "mesh"):
         return u.mesh.R_out
-    far = getattr(u, "far_edge", None)
-    if far is not None:
-        return float(far)
-    if hasattr(u, "R_out") and math.isfinite(u.R_out):
-        return float(u.R_out)
-    return math.inf
+    return float(getattr(u, "far_edge", None) or getattr(u, "R_out", math.inf))
 
 
 def _stats(R, v):
@@ -128,7 +126,7 @@ def harnack_sphere_check(u, f, spec, radii, theta=None):
 # ---------------------------------------------------------------------------
 # two-sided envelope toward the limit
 
-def envelope_check(u, f, spec, radii, samples_beyond=48):
+def envelope_check(u, f, spec, radii):
     """For each R, every sampled value at radius >= R must lie in
     [m_R - C0 R^{-eps/(p-1)}, M_R + C0 R^{-eps/(p-1)}].
 
@@ -150,13 +148,13 @@ def envelope_check(u, f, spec, radii, samples_beyond=48):
     radii = [float(R) for R in np.atleast_1d(radii)]
     # every sphere of the sweep in one evaluation: the radii R, then the
     # samples beyond each R
-    beyond = [np.geomspace(R, max(R_top, R), samples_beyond) for R in radii]
+    beyond = [np.geomspace(R, max(R_top, R), _SAMPLES_BEYOND) for R in radii]
     vals = _values_on_spheres(u, np.concatenate([radii] + beyond))
     worst = math.inf
     for i, R in enumerate(radii):
         s = _stats(R, vals[i])
         half = C0 * R ** (-decay) if decay > 0 else C0
-        far = vals[len(radii) + i * samples_beyond:][:samples_beyond]
+        far = vals[len(radii) + i * _SAMPLES_BEYOND:][:_SAMPLES_BEYOND]
         worst = min(worst,
                     min(float(np.min(v)) for v in far) - (s.minimum - half),
                     (s.maximum + half) - max(float(np.max(v)) for v in far))
@@ -217,7 +215,7 @@ def _loglog_slope(radii, values):
     return float(-slope), resid
 
 
-def decay_fit(stats, spec=None, f=None, limit=None, floor=1e-13):
+def decay_fit(stats, spec=None, f=None, limit=None):
     """Power-law decay of sphere oscillations and of the gap to the limit.
 
     stats: >= 4 SphereStats at increasing (typically dyadic) radii.  The
@@ -238,17 +236,18 @@ def decay_fit(stats, spec=None, f=None, limit=None, floor=1e-13):
     if limit is None:
         limit = stats[-1].midpoint
     gaps = np.array([abs(limit - s.midpoint) + 0.5 * s.osc for s in stats])
+    floor = _DECAY_FLOOR * scale
 
-    if np.all(osc <= floor * scale):
+    if np.all(osc <= floor):
         beta_osc, r_osc = math.inf, 0.0
     else:
-        keep = osc > floor * scale
+        keep = osc > floor
         beta_osc, r_osc = _loglog_slope(radii[keep], osc[keep]) \
             if np.sum(keep) >= 2 else (0.0, 0.0)
-    if np.all(gaps <= floor * scale):
+    if np.all(gaps <= floor):
         beta_gap, r_gap = math.inf, 0.0
     else:
-        keep = gaps > floor * scale
+        keep = gaps > floor
         beta_gap, r_gap = _loglog_slope(radii[keep], gaps[keep]) \
             if np.sum(keep) >= 2 else (0.0, 0.0)
 

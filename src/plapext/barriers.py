@@ -4,7 +4,9 @@ Each family is defined through the integrated flux identity
 
     phi(v'(r)) r^(n-1) = C - integral of g s^(n-1) ds,
 
-so v(r) is the quadrature of phi^{-1} of a known expression.  The four
+so v(r) is the quadrature of phi^{-1} of a known expression: a barrier is
+a `radial_solver.RadialProfile` whose constructor supplies that closed-form
+C - integral, and it adds the family's majorant and bounds.  The four
 families differ in their domain, majorant g, and integration constant:
 
   * lemma1:       ball [0, R], constant majorant ||f||_inf, requires p > n
@@ -23,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import (DomainError, phi_eval, phi_inverse_array)
+from .operator_core import DomainError
 from .quadrature import cumulative_integral
-
-_EVAL_TOL = 1e-12
+from .radial_solver import RadialProfile
 
 
 def lemma2_C0(spec, C_f, eps):
@@ -44,44 +45,18 @@ def lemma2prime_C0(spec, C_f, eps):
         * (p - 1.0) / eps
 
 
-@dataclass
-class Barrier:
+@dataclass(kw_only=True)
+class Barrier(RadialProfile):
+    """A family member: the profile from v(R_in) = 0, plus the family data."""
     family: str
-    spec: object
     a: float
-    R: float
-    C_integration: float = 0.0
     f_sup: float = 0.0
     C_f: float = 0.0
     eps: float = 0.0
 
-    @property
-    def domain(self):
-        if self.family in ("lemma1", "lemma1_prime"):
-            return (0.0, self.R)
-        if self.family == "lemma2":
-            return (0.0, np.inf)
-        return (self.R, np.inf)
-
-    def flux(self, t):
-        """phi(v'(t)) as a function of radius, from the integrated identity."""
-        t = np.asarray(t, dtype=float)
-        p, n = self.spec.p, self.spec.n
-        ap = self.a ** (p - 1.0)
-        tn1 = t ** (n - 1.0)
-        if self.family in ("lemma1", "lemma1_prime"):
-            return (self.f_sup / n * (self.R ** n - t ** n) + ap) / tn1
-        if self.family == "lemma2":
-            k = self.C_f / (p - n + self.eps)
-            inner = (self.C_f / n * (1.0 - t ** n) + k + ap) / tn1
-            outer = (k * t ** (n - p - self.eps) + ap) / tn1
-            return np.where(t <= 1.0, inner, outer)
-        k = self.C_f / (p - n + self.eps)
-        return (k * t ** (n - p - self.eps) + ap) / tn1
-
-    def derivative(self, t):
-        """v'(t) = phi^{-1} of the flux (closed integrand, vectorized)."""
-        return phi_inverse_array(self.spec, self.flux(t), tol=_EVAL_TOL)
+    # the benchmark tracer (perfbench/tracing.py) wraps these names
+    eval = RadialProfile.value
+    eval_many = RadialProfile.values
 
     def majorant_g(self, r):
         """The radial majorant g with -div(...) v = g by construction."""
@@ -93,25 +68,6 @@ class Barrier:
                             self.C_f * r ** (-self.spec.p - self.eps))
         return self.C_f * r ** (-self.spec.p - self.eps)
 
-    def eval(self, r):
-        """Barrier value at radius r (a one-radius `eval_many`)."""
-        return float(self.eval_many([r])[0])
-
-    def eval_many(self, radii):
-        """Barrier values at every radius, by one `cumulative_integral` of
-        v' from the left end of the domain (graded toward it for the ball
-        families; lemma2's kink at r = 1 is a panel edge)."""
-        lo_dom, hi_dom = self.domain
-        radii = np.asarray(radii, dtype=float)
-        bad = (radii < lo_dom - 1e-15) | (radii > hi_dom)
-        if np.any(bad):
-            raise DomainError(f"radius {radii[bad][0]} outside barrier domain "
-                              f"[{lo_dom}, {hi_dom}]")
-        return cumulative_integral(
-            self.derivative, lo_dom, radii, rel_tol=_EVAL_TOL,
-            singular_left=self.family != "lemma2_prime",
-            breakpoints=(1.0,) if self.family == "lemma2" else ())
-
     def bounds(self, r):
         """Certified (lower, upper) for v_a(r); upper may be inf where the
         family provides a one-sided estimate only (a > 0 global members)."""
@@ -122,7 +78,7 @@ class Barrier:
         r = np.asarray(r, dtype=float)
         if self.family in ("lemma1", "lemma1_prime"):
             lower = (1.0 / spec.L_up) ** e * self.a * r ** alpha / alpha
-            amp = self.a + (self.R ** n * self.f_sup / n) ** e
+            amp = self.a + (self.R_out ** n * self.f_sup / n) ** e
             upper = (1.0 / spec.delta) ** e * amp * r ** alpha / alpha
             return lower, upper
         if self.family == "lemma2":
@@ -133,19 +89,30 @@ class Barrier:
                 else np.inf)
             return lower, upper
         # lemma2_prime
+        R = self.R_in
         if p > n:
             lower = (1.0 / spec.L_up) ** e * self.a \
-                * (r ** alpha - self.R ** alpha) / alpha
+                * (r ** alpha - R ** alpha) / alpha
         else:
             lower = (1.0 / spec.L_up) ** e * self.a \
-                * (np.log(r) - np.log(self.R))
+                * (np.log(r) - np.log(R))
         if self.a == 0:
             ee = self.eps / (p - 1.0)
             upper = lemma2prime_C0(spec, self.C_f, self.eps) \
-                * (self.R ** (-ee) - r ** (-ee))
+                * (R ** (-ee) - r ** (-ee))
         else:
             upper = np.full_like(r, np.inf)
         return lower, upper
+
+
+def _ball(family, spec, R, f_sup, a, C, **tags):
+    """A ball-family member on [0, R] with constant majorant f_sup."""
+    R, a, n = float(R), float(a), spec.n
+    ap = a ** (spec.p - 1.0)
+    return Barrier(family=family, spec=spec, a=a, R_in=0.0, R_out=R,
+                   u_in=0.0, C_flux=C, f_sup=f_sup, singular_left=True,
+                   flux_num=lambda t: f_sup / n * (R ** n - t ** n) + ap,
+                   **tags)
 
 
 def make_lemma1(spec, R, f_sup, a):
@@ -155,8 +122,7 @@ def make_lemma1(spec, R, f_sup, a):
     if R <= 0 or a < 0 or f_sup < 0:
         raise DomainError("need R > 0, a >= 0, f_sup >= 0")
     C = R ** spec.n * f_sup / spec.n + a ** (spec.p - 1.0)
-    return Barrier(family="lemma1", spec=spec, a=float(a), R=float(R),
-                   C_integration=C, f_sup=float(f_sup))
+    return _ball("lemma1", spec, R, float(f_sup), a, C)
 
 
 def make_lemma2(spec, f, a):
@@ -167,9 +133,14 @@ def make_lemma2(spec, f, a):
         raise DomainError("lemma2 barriers require a decay-tagged source")
     if a < 0:
         raise DomainError("a must be nonnegative")
-    C = f.C_f / (spec.p - spec.n + f.eps) + a ** (spec.p - 1.0)
-    return Barrier(family="lemma2", spec=spec, a=float(a), R=np.inf,
-                   C_integration=C, C_f=f.C_f, eps=f.eps)
+    p, n, C_f, eps = spec.p, spec.n, f.C_f, f.eps
+    k, ap = C_f / (p - n + eps), float(a) ** (p - 1.0)
+    return Barrier(family="lemma2", spec=spec, a=float(a), R_in=0.0,
+                   R_out=np.inf, u_in=0.0, C_flux=k + ap, singular_left=True,
+                   breakpoints=(1.0,), C_f=C_f, eps=eps,
+                   flux_num=lambda t: np.where(
+                       t <= 1.0, C_f / n * (1.0 - t ** n) + k + ap,
+                       k * t ** (n - p - eps) + ap))
 
 
 def make_lemma1_prime(spec, R, f, a):
@@ -180,8 +151,7 @@ def make_lemma1_prime(spec, R, f, a):
         raise DomainError("lemma1' barriers require a decay-tagged source")
     f_sup = f.C_f * R ** (-spec.p - f.eps)
     C = R ** spec.n * f_sup / spec.n + a ** (spec.p - 1.0)
-    return Barrier(family="lemma1_prime", spec=spec, a=float(a), R=float(R),
-                   C_integration=C, f_sup=f_sup, C_f=f.C_f, eps=f.eps)
+    return _ball("lemma1_prime", spec, R, f_sup, a, C, C_f=f.C_f, eps=f.eps)
 
 
 def make_lemma2_prime(spec, R, f, a):
@@ -192,10 +162,12 @@ def make_lemma2_prime(spec, R, f, a):
         raise DomainError("lemma2' barriers require R > 1")
     if not f.decay_tagged:
         raise DomainError("lemma2' barriers require a decay-tagged source")
-    C = f.C_f / (spec.p - spec.n + f.eps) * R ** (spec.n - spec.p - f.eps) \
-        + a ** (spec.p - 1.0)
-    return Barrier(family="lemma2_prime", spec=spec, a=float(a), R=float(R),
-                   C_integration=C, C_f=f.C_f, eps=f.eps)
+    p, n, C_f, eps = spec.p, spec.n, f.C_f, f.eps
+    k, ap = C_f / (p - n + eps), float(a) ** (p - 1.0)
+    return Barrier(family="lemma2_prime", spec=spec, a=float(a),
+                   R_in=float(R), R_out=np.inf, u_in=0.0,
+                   C_flux=k * R ** (n - p - eps) + ap, C_f=C_f, eps=eps,
+                   flux_num=lambda t: k * t ** (n - p - eps) + ap)
 
 
 def residual_check(b, f, radii):
@@ -206,14 +178,12 @@ def residual_check(b, f, radii):
     supersolution property relative to f).
     """
     radii = np.asarray(radii, dtype=float)
-    lo, hi = b.domain
-    if np.any(radii < lo) or np.any(radii > hi):
+    if np.any(radii < b.R_in) or np.any(radii > b.R_out):
         raise DomainError("radii outside the barrier domain")
-    positive = radii[radii > max(lo, 0.0)]
-    flux = phi_eval(b.spec, b.derivative(positive)) * positive ** (b.spec.n - 1.0)
+    positive = radii[radii > b.R_in]
+    flux = b.flux(positive)
 
-    ref = {"lemma1": 0.0, "lemma1_prime": 0.0,
-           "lemma2": 1.0, "lemma2_prime": b.R}[b.family]
+    ref = 1.0 if b.family == "lemma2" else b.R_in
     n = b.spec.n
     # integral of the majorant density from ref to each radius, in one
     # pass from the smallest; the only kink of a majorant (lemma2's, at 1)
@@ -223,8 +193,8 @@ def residual_check(b, f, radii):
                               np.append(positive, ref),
                               rel_tol=1e-13)
     cum = cum[:-1] - cum[-1]
-    residual = flux + cum - b.C_integration
-    scale = max(1.0, abs(b.C_integration))
+    residual = flux + cum - b.C_flux
+    scale = max(1.0, abs(b.C_flux))
     max_res = float(np.max(np.abs(residual)) / scale) if len(positive) else 0.0
 
     gvals = b.majorant_g(radii[radii > 0])

@@ -84,9 +84,6 @@ class ExperimentConfig:
             return self._cp.has_section(section)
         return self._cp.has_option(section, key)
 
-    def items(self, section):
-        return dict(self._cp.items(section)) if self.has(section) else {}
-
 
 def load_config(path):
     path = Path(path)
@@ -186,6 +183,9 @@ def _radii_grid(cfg, section="radii", default=(0.1, 10.0, 100, "geom")):
     count = cfg.get_int(section, "count", default[2])
     spacing = cfg.get(section, "spacing", default[3])
     if spacing == "geom":
+        if not min(r_min, r_max) > 0:
+            raise ConfigError(f"[{section}] geom spacing needs positive "
+                              "r_min and r_max")
         return np.geomspace(r_min, r_max, count)
     if spacing == "linear":
         return np.linspace(r_min, r_max, count)
@@ -208,12 +208,12 @@ def cmd_barrier(cfg, out_dir):
         b = make_lemma2_prime(spec, R, f, a)
     else:
         raise ConfigError(f"unknown barrier family {family!r}")
-    lo, hi = b.domain
+    lo, hi = b.R_in, b.R_out
     radii = _radii_grid(cfg, default=(max(lo, 1e-3 if lo == 0 else lo),
                                       min(hi, 10.0 * max(R, 1.0)), 100,
                                       "geom"))
-    values = b.eval_many(radii)
-    deriv = b.derivative(radii)
+    values = b.values(radii)
+    deriv = b.u_prime(radii)
     lower, upper = b.bounds(radii)
     write_csv(out_dir / "barrier.csv",
               ["r", "value", "derivative", "lower_bound", "upper_bound"],
@@ -223,7 +223,7 @@ def cmd_barrier(cfg, out_dir):
         raise CheckFailure("barrier left its two-sided bounds")
     write_json(out_dir / "summary.json", _sanitize({
         "family": family, "a": a, "R": R,
-        "flux_constant": b.C_integration,
+        "flux_constant": b.C_flux,
         "max_residual": resid, "majorant_dominates": bool(dominated),
     }))
     return ["barrier.csv", "summary.json"]
@@ -235,6 +235,9 @@ def cmd_solve_radial(cfg, out_dir):
     R_in = cfg.get_float("geometry", "R_in")
     R_out_raw = cfg.get("geometry", "R_out", "inf")
     u_in = cfg.get_float("boundary", "u_in", 0.0)
+    samples = cfg.get_int("output", "samples", 200)
+    if samples < 3:
+        raise ConfigError("[output] samples must be at least 3")
     if R_out_raw in ("inf", "infinity"):
         sol = solve_exterior_radial(spec, f, u_in, R_in=R_in)
         limit = exterior_limit(sol)
@@ -245,8 +248,7 @@ def cmd_solve_radial(cfg, out_dir):
         sol = solve_radial_bvp(spec, f, R_in, R_out, u_in, u_out)
         limit = None
         sample_top = R_out
-    radii = np.geomspace(R_in, sample_top,
-                         cfg.get_int("output", "samples", 200))
+    radii = np.geomspace(R_in, sample_top, samples)
     u = sol.values(radii)
     write_csv(out_dir / "solution.csv", ["r", "u", "du_dr", "flux"],
               [radii, u, sol.u_prime(radii), sol.flux(radii)])

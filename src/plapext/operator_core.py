@@ -20,6 +20,13 @@ import numpy as np
 from .expressions import compile_expression
 
 
+_PHI_PRIME_STEP = 1e-6     # relative step of phi_prime's central difference
+_INVERSE_TOL = 1e-12       # phi_inverse_array: |phi(t) - s| <= tol s
+# validate_conditions samples A at 0 and on this geometric grid
+_CONDITION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 2001)))
+_CONDITION_GRID.setflags(write=False)
+
+
 class DomainError(ValueError):
     pass
 
@@ -136,12 +143,12 @@ def phi_eval(spec, t):
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def phi_prime(spec, t, rel_step=1e-6):
+def phi_prime(spec, t):
     """Derivative of phi at t > 0 (central difference for general A)."""
     t = np.asarray(t, dtype=float)
     if spec.const_value is not None:
         return spec.const_value * (spec.p - 1.0) * t ** (spec.p - 2.0)
-    h = rel_step * t
+    h = _PHI_PRIME_STEP * t
     return (phi_eval(spec, t + h) - phi_eval(spec, t - h)) / (2.0 * h)
 
 
@@ -152,12 +159,12 @@ def phi_inverse_bracket(spec, s):
     return (s / spec.L_up) ** e, (s / spec.delta) ** e
 
 
-def phi_inverse_array(spec, s, tol=1e-12):
+def phi_inverse_array(spec, s):
     """Vectorized phi^{-1} of a nonnegative array s.
 
     Safeguarded false position (Illinois) inside the bracket of
     `phi_inverse_bracket`.  Each element keeps the first point t (a bracket
-    end, then the iterates) with |phi(t) - s| <= tol s, so its value
+    end, then the iterates) with |phi(t) - s| <= _INVERSE_TOL s, so its value
     depends on its own s only, not on the rest of the batch; raises
     NonConvergenceError if some element has not met that target after 100
     iterations.
@@ -176,6 +183,7 @@ def phi_inverse_array(spec, s, tol=1e-12):
         # construction and t^(p-1) vanishes at 0 for every p > 1
         return t ** pm1 * np.asarray(A(t), dtype=float)
 
+    tol = _INVERSE_TOL
     flo = f_raw(lo) - s
     fhi = f_raw(hi) - s
     if np.any(flo > tol * np.maximum(1.0, s)) or \
@@ -222,16 +230,15 @@ def phi_inverse_array(spec, s, tol=1e-12):
         f"{abs(np.ravel(fm)[worst]):.3e})")
 
 
-def phi_inverse(spec, s, tol=1e-12):
-    """Scalar phi^{-1}(s) with |phi(t) - s| <= tol s."""
-    out = phi_inverse_array(spec, np.asarray([float(s)]), tol=tol)
-    return float(out[0])
+def phi_inverse(spec, s):
+    """Scalar phi^{-1}(s), as `phi_inverse_array` computes it."""
+    return float(phi_inverse_array(spec, np.asarray([float(s)]))[0])
 
 
-def phi_inverse_signed(spec, s, tol=1e-12):
+def phi_inverse_signed(spec, s):
     """Odd extension t = sgn(s) phi^{-1}(|s|), vectorized."""
     s = np.asarray(s, dtype=float)
-    return np.sign(s) * phi_inverse_array(spec, np.abs(s), tol=tol)
+    return np.sign(s) * phi_inverse_array(spec, np.abs(s))
 
 
 def phi_signed(spec, t):
@@ -261,24 +268,22 @@ class ConditionReport:
             for e in self.entries)
 
 
-def validate_conditions(spec, sample_count=2001, t_min=1e-6, t_max=1e6):
+def validate_conditions(spec):
     """Sampled check of the structural conditions on A over a geometric grid.
 
     Checks, in order: finiteness/continuity proxy (i), the window
     delta <= A <= L (ii) and strict monotonicity of phi (iii), pairwise
-    on 0 and `sample_count` points from t_min to t_max.  `make_spec`
-    rejects a non-constant A that fails any of them.
+    on `_CONDITION_GRID`.  `make_spec` rejects a non-constant A that fails
+    any of them.
     """
-    if sample_count < 2:
-        raise DomainError("sample_count must be at least 2")
-    ts = np.concatenate(([0.0], np.geomspace(t_min, t_max, sample_count)))
+    ts = _CONDITION_GRID
     vals = spec.coeff(ts)
     entries = []
 
     finite = bool(np.all(np.isfinite(vals)))
     entries.append(ConditionEntry(
         "(i) A finite on sampled grid", finite,
-        f"sampled {len(ts)} points in [0, {t_max:g}]"))
+        f"sampled {len(ts)} points in [0, {ts[-1]:g}]"))
 
     tol = 1e-12 * max(1.0, spec.L_up)
     in_window = bool(np.all(vals >= spec.delta - tol) and

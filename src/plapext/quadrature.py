@@ -46,6 +46,11 @@ class DivergenceError(ArithmeticError):
 _PANELS_PER_CALL = 128
 # doubling panels of a tail sweep integrated per integrate_pieces call
 _DOUBLINGS_PER_CALL = 16
+# tail_panel_sums: relative tolerance of each panel, the share of the sum
+# below which a panel counts as settled, and the most panels swept
+_TAIL_REL_TOL = 1e-12
+_TAIL_SETTLE_TOL = 1e-14
+_TAIL_MAX_PANELS = 1000
 
 
 @lru_cache(maxsize=None)
@@ -203,12 +208,12 @@ def cumulative_integral(g, a, radii, rel_tol=1e-12, singular_left=False,
     return cum[where[1:len(radii) + 1]]
 
 
-def tail_panel_sums(g, a, rel_tol=1e-12, settle_tol=1e-14, max_panels=1000):
+def tail_panel_sums(g, a):
     """Integrate g over [a, inf) by doubling panels [a 2^k, a 2^(k+1)].
 
     Returns (edges, panel_integrals) where the tail beyond the last edge is
     negligible.  Convergence is declared once three successive panels each
-    contribute less than settle_tol of the accumulated integral; raises
+    contribute less than _TAIL_SETTLE_TOL of the accumulated integral; raises
     DivergenceError otherwise.  The panels are integrated
     `_DOUBLINGS_PER_CALL` at a time by `integrate_pieces`, then tested in
     order, so up to that many panels past the stopping point are evaluated.
@@ -221,18 +226,19 @@ def tail_panel_sums(g, a, rel_tol=1e-12, settle_tol=1e-14, max_panels=1000):
     settled = 0
     growing = 0
     prev = None
-    for start in range(0, max_panels, _DOUBLINGS_PER_CALL):
-        k = np.arange(start, min(start + _DOUBLINGS_PER_CALL, max_panels))
+    for start in range(0, _TAIL_MAX_PANELS, _DOUBLINGS_PER_CALL):
+        stop = min(start + _DOUBLINGS_PER_CALL, _TAIL_MAX_PANELS)
+        k = np.arange(start, stop)
         lo = a * 2.0 ** k
         # the sweep ends before the first panel starting beyond 1e290
         lo = lo[(k == 0) | (lo <= 1e290)]
         for hi, val in zip(2.0 * lo, integrate_pieces(g, lo, 2.0 * lo,
-                                                       rel_tol=rel_tol)):
+                                                       rel_tol=_TAIL_REL_TOL)):
             val = float(val)
             edges.append(float(hi))
             sums.append(val)
             acc += val
-            if abs(val) <= settle_tol * max(abs(acc), 1e-300):
+            if abs(val) <= _TAIL_SETTLE_TOL * max(abs(acc), 1e-300):
                 settled += 1
                 if settled >= 3:
                     return np.asarray(edges), np.asarray(sums)

@@ -8,6 +8,8 @@ so once the flux constant C is known, u is a single quadrature of the
 signed inverse of phi.  C is pinned down by monotone shooting on the outer
 boundary value; for the bounded exterior solution C equals the full
 improper integral of f s^(n-1), which makes u' decay integrably.
+`RadialProfile` evaluates both these solutions and the barriers of
+`barriers`, each built with its own closure r -> C - F(r).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .quadrature import (cumulative_integral, gauss_rule, integrate,
 
 # doubling panels of the u' tail evaluated per phi^{-1} call
 _TAIL_PANELS_PER_CALL = 16
+_MATCH_TOL = 1e-10     # relative error of a shooting solution's outer value
 
 
 def _panel_sums(g, lo, hi):
@@ -46,23 +49,26 @@ def _cumulative_spline(g, edges):
 
 
 @dataclass
-class RadialSolution:
+class RadialProfile:
+    """u(r) = u_in + integral from R_in to r of u', where phi(|u'|) sgn(u')
+    r^(n-1) = flux_num(r), a vectorized C_flux - F(r); singular_left and
+    the breakpoints (kinks of flux_num) shape the quadrature."""
     spec: object
-    f: object
     R_in: float
     R_out: float
     u_in: float
     C_flux: float
-    _flux_num: object = None      # vectorized r -> C - F(r)
-    far_edge: float | None = None  # exterior: end of the source tail sweep
+    flux_num: object
+    singular_left: bool = False
+    breakpoints: tuple = ()
 
     def u_prime(self, r):
         r = np.asarray(r, dtype=float)
         return phi_inverse_signed(
-            self.spec, self._flux_num(r) / r ** (self.spec.n - 1.0))
+            self.spec, self.flux_num(r) / r ** (self.spec.n - 1.0))
 
     def flux(self, r):
-        """phi(|u'|) sgn(u') r^(n-1), which must equal C - F(r)."""
+        """phi(|u'|) sgn(u') r^(n-1), which must equal flux_num(r)."""
         r = np.asarray(r, dtype=float)
         return phi_signed(self.spec, self.u_prime(r)) \
             * r ** (self.spec.n - 1.0)
@@ -79,7 +85,16 @@ class RadialSolution:
             raise DomainError(f"radius {radii[bad][0]} outside "
                               f"[{self.R_in}, {self.R_out}]")
         return cumulative_integral(self.u_prime, self.R_in, radii,
-                                   rel_tol=1e-12, start=self.u_in)
+                                   rel_tol=1e-12,
+                                   singular_left=self.singular_left,
+                                   breakpoints=self.breakpoints,
+                                   start=self.u_in)
+
+
+@dataclass(kw_only=True)
+class RadialSolution(RadialProfile):
+    f: object
+    far_edge: float | None = None  # exterior: end of the source tail sweep
 
 
 def _source_density(f, n):
@@ -89,7 +104,7 @@ def _source_density(f, n):
     return g
 
 
-def solve_radial_bvp(spec, f, R_in, R_out, u_in, u_out, tol=1e-12):
+def solve_radial_bvp(spec, f, R_in, R_out, u_in, u_out):
     """Radial two-point Dirichlet solve by monotone shooting on C.
 
     The outer value produced by a candidate flux constant C is strictly
@@ -129,10 +144,8 @@ def solve_radial_bvp(spec, f, R_in, R_out, u_in, u_out, tol=1e-12):
     C = brentq(lambda c: outer_value(c) - u_out, lo, hi,
                xtol=1e-14 * scale, rtol=8.9e-16)
     sol = RadialSolution(spec=spec, f=f, R_in=R_in, R_out=R_out, u_in=u_in,
-                         C_flux=float(C),
-                         _flux_num=lambda r: C - F(np.asarray(r, dtype=float)))
-    # endpoint match to tol
-    if abs(sol.value(R_out) - u_out) > tol * max(1.0, abs(u_out)) * 100:
+                         C_flux=float(C), flux_num=lambda r: C - F(r))
+    if abs(sol.value(R_out) - u_out) > _MATCH_TOL * max(1.0, abs(u_out)):
         raise NonConvergenceError("shooting failed to match the outer value")
     return sol
 
@@ -144,9 +157,11 @@ def solve_exterior_radial(spec, f, u_in, R_in=1.0):
     integral of f s^(n-1); then C - F(r) is the tail integral of the
     source beyond r, and u' is absolutely integrable at infinity.
     """
+    if not R_in > 0:
+        raise DomainError("need R_in > 0")
     n = spec.n
     g = _source_density(f, n)
-    edges, sums = tail_panel_sums(g, R_in, rel_tol=1e-12)
+    edges, sums = tail_panel_sums(g, R_in)
     far = float(edges[-1])
     # tail integral T(r) accumulated right-to-left (small terms first), so
     # its relative accuracy is uniform down to the far edge — no
@@ -164,12 +179,9 @@ def solve_exterior_radial(spec, f, u_in, R_in=1.0):
     T = CubicHermiteSpline(dense, tails, -g(dense))
     total = float(tails[0])
 
-    def flux_num(r):
-        r = np.asarray(r, dtype=float)
-        return T(np.minimum(r, far))
-
     return RadialSolution(spec=spec, f=f, R_in=R_in, R_out=np.inf,
-                          u_in=u_in, C_flux=total, _flux_num=flux_num,
+                          u_in=u_in, C_flux=total,
+                          flux_num=lambda r: T(np.minimum(r, far)),
                           far_edge=far)
 
 
@@ -227,6 +239,6 @@ def flux_residual(sol, radii):
     """Worst deviation of the integrated identity over the given radii."""
     radii = np.asarray(radii, dtype=float)
     lhs = sol.flux(radii)
-    rhs = sol._flux_num(radii)
+    rhs = sol.flux_num(radii)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs)) / scale)

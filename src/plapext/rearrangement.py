@@ -18,6 +18,8 @@ import numpy as np
 from .operator_core import DomainError, phi_inverse_array, unit_ball_volume
 from .quadrature import integrate
 
+_SOURCE_SAMPLES = 4096     # radii of the source the bounds rearrange
+
 
 @dataclass
 class RearrangementData:
@@ -106,7 +108,7 @@ def rearrange(u):
 # comparison bounds
 
 def _source_rearrangement(f, n, Omega_measure, R_in=None, R_out=None,
-                          samples=4096):
+                          samples=_SOURCE_SAMPLES):
     """Exact rearrangement of |f| sampled over the domain carrying the
     stated measure (annulus [R_in, R_out] if given, else the centered ball
     of that measure)."""
@@ -137,7 +139,7 @@ def _integrate_kernel(kernel, f_star, a, b):
 
 
 def talenti_bound(u_boundary_sup, f, spec, Omega_measure, R_in=None,
-                  R_out=None, samples=4096):
+                  R_out=None):
     """Global upper bound for sup of the symmetrized solution:
 
         sup u^sharp <= boundary sup
@@ -147,7 +149,7 @@ def talenti_bound(u_boundary_sup, f, spec, Omega_measure, R_in=None,
     if Omega_measure <= 0:
         raise DomainError("domain measure must be positive")
     n, p = spec.n, spec.p
-    fs = _source_rearrangement(f, n, Omega_measure, R_in, R_out, samples)
+    fs = _source_rearrangement(f, n, Omega_measure, R_in, R_out)
     rho_max = _rho_max(n, Omega_measure)
     nwn = n * unit_ball_volume(n)
 
@@ -162,7 +164,7 @@ def talenti_bound(u_boundary_sup, f, spec, Omega_measure, R_in=None,
 
 
 def full_talenti_profile(u_boundary_sup, f, spec, Omega_measure, x_radius,
-                         R_in=None, R_out=None, samples=4096):
+                         R_in=None, R_out=None):
     """Pointwise bound for u^sharp at radius |x|, with the exact generalized
     inverse of phi in place of the power relaxation; decreasing in x_radius
     and equal to the boundary sup at the edge of the symmetrized ball."""
@@ -173,7 +175,7 @@ def full_talenti_profile(u_boundary_sup, f, spec, Omega_measure, x_radius,
         raise DomainError("x_radius must lie within the symmetrized ball")
     if x_radius >= rho_max:
         return float(u_boundary_sup)
-    fs = _source_rearrangement(f, n, Omega_measure, R_in, R_out, samples)
+    fs = _source_rearrangement(f, n, Omega_measure, R_in, R_out)
     nwn = n * unit_ball_volume(n)
 
     def kernel(s):

@@ -144,7 +144,7 @@ def _radial_weight(n):
     return n * unit_ball_volume(n)
 
 
-def annulus_norm(f, n, q, R_in, R_out, rel_tol=1e-12):
+def annulus_norm(f, n, q, R_in, R_out):
     """(integral over the annulus of |f|^q)^(1/q) by radial quadrature.
 
     R_out may be inf; a DivergenceError signals a non-integrable tail.
@@ -156,37 +156,35 @@ def annulus_norm(f, n, q, R_in, R_out, rel_tol=1e-12):
     w = _radial_weight(n)
     g = lambda r: w * np.abs(f(r)) ** q * r ** (n - 1.0)
     if np.isinf(R_out):
-        val = integrate(g, R_in, 2.0 * R_in, rel_tol=rel_tol) \
-            + _tail_from(f, n, q, 2.0 * R_in, rel_tol)
+        val = integrate(g, R_in, 2.0 * R_in) + _tail_from(f, n, q, 2.0 * R_in)
     else:
-        val = integrate(g, R_in, R_out, rel_tol=rel_tol,
-                        breakpoints=(1.0, f.r0))
+        val = integrate(g, R_in, R_out, breakpoints=(1.0, f.r0))
     return float(max(val, 0.0) ** (1.0 / q))
 
 
-def _tail_from(f, n, q, R, rel_tol=1e-12):
+def _tail_from(f, n, q, R):
     """Integral of |f|^q over the exterior of B_R, cached at dyadic edges."""
     w = _radial_weight(n)
     g = lambda r: w * np.abs(f(r)) ** q * r ** (n - 1.0)
     key = (q, n)
     if key not in f._tail_cache:
-        edges, sums = tail_panel_sums(g, 1.0, rel_tol=rel_tol)
+        edges, sums = tail_panel_sums(g, 1.0)
         f._tail_cache[key] = (edges, np.asarray(sums))
     edges, sums = f._tail_cache[key]
     if R <= edges[0]:
-        extra = integrate(g, R, edges[0], rel_tol=rel_tol)
+        extra = integrate(g, R, edges[0])
         return float(extra + np.sum(sums))
     # accumulate whole panels beyond R plus the partial panel containing R
     idx = np.searchsorted(edges, R, side="left")
     if idx >= len(edges):
         return 0.0
-    partial = integrate(g, R, float(edges[idx]), rel_tol=rel_tol)
+    partial = integrate(g, R, float(edges[idx]))
     return float(partial + np.sum(sums[idx:]))
 
 
-def exterior_norm(f, n, q, R, rel_tol=1e-12):
+def exterior_norm(f, n, q, R):
     """L^q norm of f on the exterior of B_R."""
-    return float(_tail_from(f, n, q, R, rel_tol) ** (1.0 / q))
+    return float(_tail_from(f, n, q, R) ** (1.0 / q))
 
 
 @dataclass

@@ -38,7 +38,7 @@ def test_acceptance_01_barrier_closed_form():
     spec = make_spec(3.0, 2)
     b = make_lemma1(spec, R=10.0, f_sup=0.0, a=1.0)
     radii = np.linspace(0.1, 10.0, 100)
-    vals = b.eval_many(radii)
+    vals = b.values(radii)
     rel = np.max(np.abs(vals - 2.0 * np.sqrt(radii)) / (2.0 * np.sqrt(radii)))
     dt = time.time() - t0
     report(1, rel < 1e-8 and dt < 1.0,
@@ -105,11 +105,11 @@ def test_acceptance_03_barrier_bound_suite():
                 make_lemma2_prime(spec, R2, f, a),
             ]
         for b in barriers:
-            lo_dom, hi_dom = b.domain
+            lo_dom, hi_dom = b.R_in, b.R_out
             lo_r = lo_dom if lo_dom > 0 else 1e-2
             hi_r = min(hi_dom, 50.0 * max(R1, R2))
             radii = np.geomspace(lo_r * (1 + 1e-12), hi_r, 50)
-            vals = b.eval_many(radii)
+            vals = b.values(radii)
             lower, upper = b.bounds(radii)
             slack = 1e-9 * np.maximum(1.0, np.abs(vals))
             violations += int(np.sum(vals < lower - slack))

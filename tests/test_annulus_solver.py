@@ -6,10 +6,11 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve as sparse_spsolve
 
 from plapext import annulus_solver
-from plapext import (GridFunction, comparison_check, discrete_energy,
-                     exhaust_exterior, holder_modulus, make_spec, polar_mesh,
-                     power_decay_source, radial_mesh, solve_dirichlet,
-                     solve_radial_bvp, unit_ball_volume, zero_source)
+from plapext import (AnnularMesh, GridFunction, comparison_check,
+                     discrete_energy, exhaust_exterior, holder_modulus,
+                     make_spec, polar_mesh, power_decay_source, radial_mesh,
+                     solve_dirichlet, solve_radial_bvp, unit_ball_volume,
+                     zero_source)
 from plapext.operator_core import DomainError, NonConvergenceError
 
 
@@ -101,6 +102,23 @@ def test_comparison_principle_on_ordered_boundary_data():
     v, _ = solve_dirichlet(mesh, spec, f, {"inner": 1.0, "outer": 0.3})
     assert comparison_check(u, v)
     assert not comparison_check(v, u)
+
+
+@pytest.mark.parametrize("other", ["rotated", "fewer_angles", "radial"])
+def test_comparison_rejects_meshes_with_other_angles(other):
+    # same radii throughout; only the angles (or their absence) differ
+    mesh = polar_mesh(1.0, 2.0, 8, 12)
+    theta = {"rotated": mesh.theta + 0.1,
+             "fewer_angles": mesh.theta[:10], "radial": None}[other]
+    second = AnnularMesh(n=2, radii=mesh.radii, theta=theta)
+    shape = (len(mesh.radii),) if theta is None else \
+        (len(mesh.radii), len(theta))
+    u = GridFunction(mesh, np.zeros((len(mesh.radii), 12)))
+    v = GridFunction(second, np.ones(shape))
+    with pytest.raises(DomainError):
+        comparison_check(u, v)
+    assert comparison_check(u, GridFunction(polar_mesh(1.0, 2.0, 8, 12),
+                                            np.ones_like(u.values)))
 
 
 def test_discrete_energy_of_linear_profile():

@@ -5,9 +5,9 @@ import pytest
 
 from plapext import (GridFunction, SphereStats, counterexample_suite,
                      decay_fit, envelope_check, harnack_sphere_check,
-                     lemma2prime_C0, make_spec, osc_prediction, polar_mesh,
-                     power_decay_source, solve_exterior_radial, sphere_stats,
-                     zero_source)
+                     lemma2prime_C0, make_lemma2, make_spec, osc_prediction,
+                     polar_mesh, power_decay_source, solve_exterior_radial,
+                     sphere_stats, zero_source)
 from plapext.operator_core import DomainError
 
 
@@ -149,6 +149,25 @@ def test_envelope_in_one_pass_matches_radius_by_radius():
     for s, R in zip(batch, radii):
         assert s.R == R
         assert s.mean == pytest.approx(sol.value(R), abs=1e-11)
+
+
+def test_sphere_stats_and_envelope_accept_a_barrier():
+    # a barrier is a radial profile: its spheres are read through `values`,
+    # and lemma2's domain (0, inf) has no outer edge
+    spec, f, _ = _radial_exterior()
+    b = make_lemma2(spec, f, 0.3)
+    radii = [1.0, 2.0, 4.0]
+    stats = sphere_stats(b, radii)
+    assert [s.mean for s in stats] == list(b.values(radii))
+    assert all(s.osc == 0.0 for s in stats)
+    C0 = lemma2prime_C0(spec, f.C_f, f.eps)
+    ref = math.inf
+    for R in radii:
+        m = b.value(R)
+        half = C0 * R ** (-f.eps / (spec.p - 1.0))
+        v = b.values(np.geomspace(R, 16.0, 48))
+        ref = min(ref, np.min(v) - (m - half), (m + half) - np.max(v))
+    assert envelope_check(b, f, spec, radii) == pytest.approx(ref, abs=1e-11)
 
 
 def test_counterexample_exact_extrema():

@@ -224,6 +224,46 @@ u_in = 1.0
     assert "(iii) phi strictly increasing" in capsys.readouterr().err
 
 
+EXTERIOR_AT_ORIGIN_CFG = """\
+[operator]
+p = 3
+n = 2
+
+[source]
+name = powerdecay:1.0:1.0
+
+[geometry]
+R_in = 0
+R_out = inf
+"""
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("solve-radial", EXTERIOR_AT_ORIGIN_CFG),
+    ("asymptotics", EXTERIOR_AT_ORIGIN_CFG),
+    ("barrier", BARRIER_CFG.replace("r_min = 0.1", "r_min = 0")),
+    ("solve-radial", """\
+[operator]
+p = 3
+n = 2
+
+[geometry]
+R_in = 1.0
+R_out = 2.0
+
+[boundary]
+u_in = 1.0
+
+[output]
+samples = 2
+"""),
+], ids=["exterior-from-0", "asymptotics-from-0", "geom-radii-from-0",
+        "two-samples"])
+def test_degenerate_configs_give_config_error(tmp_path, subcommand, text):
+    cfg = write(tmp_path / "d.cfg", text)
+    assert cli.run(subcommand, cfg, tmp_path / "o", quiet=True) == 2
+
+
 def test_manifest_has_checksums_and_versions(tmp_path):
     cfg = write(tmp_path / "c.cfg", COUNTER_CFG)
     out = tmp_path / "out"

@@ -78,12 +78,12 @@ def test_lemma1_barrier_against_mpmath():
     # p=3, n=2, a=1, no source: phi(v') r = 1, so v' = r^(-1/2), v = 2 sqrt(r)
     b = make_lemma1(make_spec(3.0, 2), R=4.0, f_sup=0.0, a=1.0)
     for r in (0.01, 1.0, 3.5):
-        got = integrate(b.derivative, 0.0, r, rel_tol=1e-12,
+        got = integrate(b.u_prime, 0.0, r, rel_tol=1e-12,
                         singular_left=True)
         with mpmath.workdps(30):
             ref = mpmath.quad(lambda t: 1 / mpmath.sqrt(t), [0, r])
         assert got == pytest.approx(float(ref), rel=1e-11)
-        assert b.eval(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-11)
+        assert b.value(r) == pytest.approx(2.0 * np.sqrt(r), rel=1e-11)
 
 
 @settings(max_examples=40, deadline=None)

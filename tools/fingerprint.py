@@ -4,9 +4,13 @@
 
 Run from any directory; the package is imported from this checkout's
 `src` and the cases come from `perfbench/workloads.py`, which is only
-read.  Every case of seeds 1-3 is run once, and one SHA-256 per workload
-is printed over:
+read.  Every case of seeds 1-3 is run once, and one SHA-256 per workload,
+plus one for the barrier families, is printed over:
 
+  * barrier: values, u', bounds and `residual_check` of members of all
+    four families, plap and smooth-bump at p = 3.5, n = 2, and
+    lemma2_prime at p = n = 3, on fixed radii (no workload builds
+    lemma1_prime or lemma2_prime);
   * polar2d: the solution u and every `EnergyReport` field;
   * talenti: the solution, node measures, every `RearrangementData`
     array, the Talenti bound and the full profile;
@@ -37,6 +41,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
+from plapext import (make_lemma1, make_lemma1_prime, make_lemma2,  # noqa: E402
+                     make_lemma2_prime, make_spec, power_decay_source,
+                     residual_check)
 
 SEEDS = (1, 2, 3)
 
@@ -76,6 +83,28 @@ def _feed_outputs(h, name, out):
             h.update(path.read_bytes())
 
 
+def barrier_fingerprint():
+    h = hashlib.sha256()
+    ball = np.geomspace(1e-3, 5.0, 33)
+    whole = np.geomspace(1e-2, 1e3, 33)      # straddles lemma2's kink at 1
+    outside = np.geomspace(3.0, 3e3, 33)
+    for p, n, coeff in ((3.5, 2, "plap"), (3.5, 2, "smooth-bump"),
+                        (3.0, 3, "plap")):
+        spec = make_spec(p, n, coeff)
+        f = power_decay_source(spec, 1.3, 0.8)
+        members = [(make_lemma2_prime(spec, 3.0, f, 0.0), outside),
+                   (make_lemma2_prime(spec, 3.0, f, 0.5), outside)]
+        if p > n:
+            members += [(make_lemma1(spec, 5.0, 1.3, 0.7), ball),
+                        (make_lemma1_prime(spec, 5.0, f, 0.4), ball),
+                        (make_lemma2(spec, f, 0.0), whole),
+                        (make_lemma2(spec, f, 0.4), whole)]
+        for b, radii in members:
+            _feed(h, [b.values(radii), b.u_prime(radii), b.bounds(radii),
+                      residual_check(b, f, radii)])
+    return h.hexdigest()
+
+
 def fingerprint(name, seeds, workdir):
     h = hashlib.sha256()
     for seed in seeds:
@@ -86,6 +115,7 @@ def fingerprint(name, seeds, workdir):
 
 
 def main():
+    print(f"barrier {barrier_fingerprint()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(workloads.WORKLOAD_IDS):
             print(f"{name} {fingerprint(name, SEEDS, tmp)}", flush=True)
