@@ -207,13 +207,18 @@ def _cell_gradients(mesh, values):
     return du_r, du_t
 
 
-def discrete_energy(u, spec, f=None):
-    """J(u) = sum Phi(|grad u|) |cell| - sum f u |node|."""
+def discrete_energy(u, spec, fvals=None):
+    """J(u) = sum Phi(|grad u|) |cell| - sum f u |node|.
+
+    fvals: the source at the nodes, shaped as u.values (`solve_dirichlet`
+    builds it once per solve); None for no source.
+    """
     mesh = u.mesh
     cells = mesh.cell_measures()
     grads = _cell_gradients(mesh, u.values)
     mag = np.sqrt(sum(g ** 2 for g in grads))
-    fvals = _source_values(f, mesh)
+    if fvals is None:
+        fvals = _source_values(None, mesh)
     return float(np.sum(_Phi(spec, mag) * cells)
                  - np.sum(fvals * u.values * mesh.node_measures()))
 
@@ -417,7 +422,7 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
         _apply_boundary(mesh, values, boundary_data)
 
     def J(v):
-        return discrete_energy(GridFunction(mesh, v), spec, f)
+        return discrete_energy(GridFunction(mesh, v), spec, fvals)
 
     def grad_interior(v):
         g = energy_gradient(mesh, spec, v, fvals)

@@ -37,6 +37,11 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CHECK = 4
 
+# theta of the sphere Harnack correction K(R) when p <= n: any value in
+# (0, 1) is admissible, and power-decay sources have a finite exterior
+# L^{n/(p-theta)} norm for each
+HARNACK_THETA = 0.5
+
 
 class ConfigError(Exception):
     pass
@@ -382,18 +387,23 @@ def cmd_asymptotics(cfg, out_dir):
     shift = max(0.0, -min(s.minimum for s in stats)) + 1e-9
     # the sweep's radii are among those of stats, whose values it reuses
     u_at = {s.R: s.mean for s in stats}
+    theta = HARNACK_THETA if spec.p <= spec.n else None
     sweep = harnack_sphere_check(lambda r: u_at[r] + shift, f, spec,
-                                 [R for R in radii if R >= 4.0] or radii)
+                                 [R for R in radii if R >= 4.0] or radii,
+                                 theta=theta)
     checks["harnack_C_fit"] = sweep.C_fit
     checks["harnack"] = bool(sweep.all_passed)
-    write_json(out_dir / "asymptotics.json", _sanitize({
+    result = {
         "radii": list(map(float, radii)),
         "m": [s.minimum for s in stats],
         "M": [s.maximum for s in stats],
         "osc": [s.osc for s in stats],
         "beta_fit": fit.beta, "limit_estimate": limit,
         "checks": checks,
-    }))
+    }
+    if theta is not None:
+        result["harnack_theta"] = theta
+    write_json(out_dir / "asymptotics.json", _sanitize(result))
     if not checks.get("envelope", True) or not checks.get("harnack", True):
         raise CheckFailure("asymptotic inequality check failed")
     return ["asymptotics.json"]

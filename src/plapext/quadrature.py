@@ -7,14 +7,15 @@ over arrays of panels:
 
   * level 0 is every piece between consecutive breakpoints, the first
     piece graded geometrically toward a singular left endpoint;
-  * each level evaluates the 20- and 40-point Gauss-Legendre rules of all
-    its panels together, calling the integrand once per block of
-    `_PANELS_PER_CALL` panels (which bounds the size of the arrays the
-    integrand builds) with a (panels, 60) array of nodes, one row per
-    panel, no row crossing a breakpoint;
-  * a panel is accepted when its two rules agree to the absolute
-    tolerance shared out over the level-0 panels; the others are bisected
-    and form the next level.
+  * each level evaluates the nested G10 and K21 rules (the 10-point
+    Gauss rule and its 21-point Kronrod extension, whose nodes include
+    the Gauss ones) of all its panels together, calling the integrand with
+    a (panels, 21) array of nodes, one row per panel, no row crossing a
+    breakpoint; a call holds at most `_NODES_PER_CALL` nodes, which bounds
+    the size of the arrays the integrand builds;
+  * a panel is accepted, at its K21 value, when the two rules agree to the
+    absolute tolerance shared out over the level-0 panels; the others are
+    bisected and form the next level.
 
 A panel still failing at `max_depth` raises NonConvergenceError, as does an
 integrand that is not finite at the nodes.  `integrate_pieces` runs the same
@@ -22,9 +23,9 @@ refinement for many intervals at once, each with its own tolerance;
 `cumulative_integral` builds on it a profile at many radii in one pass of
 levels, not one per radius, and `tail_panel_sums` uses it for blocks of
 doubling panels.  `gauss_rule(k)` is the one cached k-point Gauss-Legendre
-rule of the package.  References: Davis & Rabinowitz, Methods of Numerical
-Integration, ch. 6; Trefethen, Approximation Theory and Approximation
-Practice, ch. 19.
+rule of the package, for the fixed-rule sums of other modules.  References: Piessens, de
+Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK (1983), routine qk21;
+Davis & Rabinowitz, Methods of Numerical Integration, ch. 6.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ class DivergenceError(ArithmeticError):
     """An improper integral failed its tail-convergence test."""
 
 
-# integrand calls carry at most this many panels (60 nodes each): all panels
-# of a level in one call raise peak memory for several thousand panels, and
-# blocks this size cost no measurable speed
-_PANELS_PER_CALL = 128
+# integrand calls carry at most this many nodes (365 panels of 21): all
+# panels of a level in one call raise peak memory for several thousand
+# panels, while every call costs the integrand a fixed overhead
+# (phi_inverse_array's dominates the Talenti kernels), so a block is sized
+# in nodes, not panels
+_NODES_PER_CALL = 7680
 # doubling panels of a tail sweep integrated per integrate_pieces call
 _DOUBLINGS_PER_CALL = 16
 # tail_panel_sums: relative tolerance of each panel, the share of the sum
@@ -51,6 +54,55 @@ _DOUBLINGS_PER_CALL = 16
 _TAIL_REL_TOL = 1e-12
 _TAIL_SETTLE_TOL = 1e-14
 _TAIL_MAX_PANELS = 1000
+
+# QUADPACK qk21: the nonnegative nodes of the 21-point Kronrod rule on
+# [-1, 1], decreasing (xgk; every second one, from the second, is a node of
+# the 10-point Gauss rule), their weights (wgk), and the Gauss weights of
+# those five nodes (wg)
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _g10_k21():
+    """The 21 nodes of K21 on [-1, 1], ascending (those of G10 are every
+    second one, from the second), and their weights as a (21, 2) array:
+    G10's, zero at the 11 nodes K21 adds, then K21's.  Read-only."""
+    xgk, wgk, wg = (np.array(t) for t in (_XGK, _WGK, _WG))
+    nodes = np.concatenate((-xgk[:-1], xgk[::-1]))
+    g10 = np.zeros(len(nodes))
+    g10[1::2] = np.concatenate((wg, wg[::-1]))
+    weights = np.column_stack((g10, np.concatenate((wgk[:-1], wgk[::-1]))))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+_K21_NODES, _PAIR_WEIGHTS = _g10_k21()
 
 
 @lru_cache(maxsize=None)
@@ -63,42 +115,33 @@ def gauss_rule(k):
     return x, w
 
 
-@lru_cache(maxsize=None)
-def _gauss_pair():
-    """Nodes of the 20- and 40-point rules on [-1, 1], then both weights."""
-    x20, w20 = gauss_rule(20)
-    x40, w40 = gauss_rule(40)
-    return np.concatenate((x20, x40)), w20, w40
-
-
 def _panel_rules(g, lo, hi):
-    """20- and 40-point Gauss-Legendre values of g on the panels [lo, hi].
+    """G10 and K21 values of g on the panels [lo, hi].
 
     g is called with the nodes of a block of panels as one 2D array, a row
-    per panel: its 20 nodes of the coarse rule, then its 40 of the fine.
+    per panel holding its 21 K21 nodes, of which G10 uses every second one;
+    a block holds at most `_NODES_PER_CALL` nodes.
     """
-    nodes, w20, w40 = _gauss_pair()
+    per_call = _NODES_PER_CALL // len(_K21_NODES)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    coarse = np.empty(len(lo))
-    fine = np.empty(len(lo))
-    for start in range(0, len(lo), _PANELS_PER_CALL):
-        blk = slice(start, start + _PANELS_PER_CALL)
-        x = mid[blk, None] + half[blk, None] * nodes
+    sums = np.empty((len(lo), 2))
+    for start in range(0, len(lo), per_call):
+        blk = slice(start, start + per_call)
+        x = mid[blk, None] + half[blk, None] * _K21_NODES
         vals = np.asarray(g(x), dtype=float).reshape(x.shape)
-        coarse[blk] = half[blk] * (vals[:, :20] @ w20)
-        fine[blk] = half[blk] * (vals[:, 20:] @ w40)
-    return coarse, fine
+        sums[blk] = half[blk, None] * (vals @ _PAIR_WEIGHTS)
+    return sums[:, 0], sums[:, 1]
 
 
 def _refine(g, lo, hi, coarse, fine, piece, tol, piece_lo, piece_hi,
             max_depth):
     """Refine the level-0 panels [lo, hi] of the pieces [piece_lo, piece_hi].
 
-    coarse, fine: the panels' 20- and 40-point values; piece[j] is the
-    piece of panel j and tol[i] the absolute tolerance of each panel of
-    piece i.  Returns the pieces and the 40-point values of the accepted
-    panels, level by level in panel order.
+    coarse, fine: the panels' G10 and K21 values; piece[j] is the piece of
+    panel j and tol[i] the absolute tolerance of each panel of piece i.
+    Returns the pieces and the K21 values of the accepted panels, level by
+    level in panel order.
     """
     kept_piece, kept_value = [], []
     for depth in range(max_depth + 1):
@@ -164,7 +207,7 @@ def integrate_pieces(g, lo, hi, rel_tol=1e-12, max_depth=48):
 
     Each piece is refined exactly as `integrate(g, lo[i], hi[i], rel_tol,
     max_depth=max_depth)` refines it (one level-0 panel, tolerance
-    rel_tol times its 20-point value), but every level evaluates the panels
+    rel_tol times its G10 value), but every level evaluates the panels
     of all pieces together.  g gets rows of panel nodes, as from
     `integrate`, and no row crosses the ends of its piece.  Pieces with
     hi <= lo integrate to 0.  Raises NonConvergenceError as `integrate`

@@ -131,9 +131,10 @@ def _rho_max(n, Omega_measure):
 
 def _integrate_kernel(kernel, f_star, a, b):
     # the kernels are smooth between consecutive rearrangement radii, so
-    # with every radius a panel edge each piece passes without refinement;
-    # no row of integrand nodes then crosses a radius, and the kernels look
-    # up the piece of each row once (`_cumulative(rows=True)`)
+    # with every radius a panel edge each piece passes its G10/K21 test
+    # without refinement, at 21 kernel nodes a piece; no row of integrand
+    # nodes then crosses a radius, and the kernels look up the piece of
+    # each row once (`_cumulative(rows=True)`)
     return integrate(kernel, a, b, rel_tol=1e-10,
                      singular_left=(a == 0.0), breakpoints=f_star.radii[:-1])
 

@@ -276,14 +276,23 @@ def test_one_gradient_per_iterate(monkeypatch, method, dim):
     monkeypatch.setattr(annulus_solver, "energy_gradient", counted)
     spec = make_spec(2.5, 2)
     f = power_decay_source(spec, 1.0, 1.0)
+    sources = []
+
+    def counted_f(r):
+        sources.append(1)
+        return f(r)
+
     if dim == 1:
         mesh, inner = radial_mesh(2, 1.0, 2.0, 32), 1.0
     else:
         mesh, inner = polar_mesh(1.0, 2.0, 8, 12), lambda th: np.cos(th)
-    u, rep = solve_dirichlet(mesh, spec, f, {"inner": inner, "outer": 0.0},
+    u, rep = solve_dirichlet(mesh, spec, counted_f,
+                             {"inner": inner, "outer": 0.0},
                              method=method, tol=1e-8, max_iter=25)
     assert rep.iterations >= 2
     assert len(calls) == rep.iterations + 1
+    # the line-search energies reuse the solve's source values
+    assert len(sources) == 1
     grad = gradient(mesh, spec, u.values, annulus_solver._source_values(
         f, mesh))
     assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))

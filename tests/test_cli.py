@@ -264,6 +264,39 @@ def test_degenerate_configs_give_config_error(tmp_path, subcommand, text):
     assert cli.run(subcommand, cfg, tmp_path / "o", quiet=True) == 2
 
 
+@pytest.mark.parametrize("p, n", [(2.5, 3), (2.0, 2), (3.0, 2)])
+def test_asymptotics_limit_for_p_at_most_n(tmp_path, p, n):
+    # p <= n takes the exterior-norm Harnack correction, at the fixed theta
+    # the artifact records; p > n artifacts keep their fields
+    cfg = write(tmp_path / "x.cfg", f"""\
+[operator]
+p = {p}
+n = {n}
+coefficient = plap
+
+[source]
+name = powerdecay:1:1
+
+[geometry]
+R_in = 1.0
+R_out = inf
+
+[boundary]
+u_in = 1.0
+""")
+    assert cli.run("asymptotics", cfg, tmp_path / "a", quiet=True) == 0
+    assert cli.run("solve-radial", cfg, tmp_path / "r", quiet=True) == 0
+    rep = json.loads((tmp_path / "a" / "asymptotics.json").read_text())
+    radial = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert rep["limit_estimate"] == pytest.approx(
+        radial["limit_at_infinity"], rel=1e-8)
+    assert rep["checks"]["harnack"] and rep["checks"]["envelope"]
+    if p <= n:
+        assert rep["harnack_theta"] == cli.HARNACK_THETA
+    else:
+        assert "harnack_theta" not in rep
+
+
 def test_manifest_has_checksums_and_versions(tmp_path):
     cfg = write(tmp_path / "c.cfg", COUNTER_CFG)
     out = tmp_path / "out"

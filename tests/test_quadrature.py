@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plapext import NonConvergenceError, make_lemma1, make_spec
+from plapext import (NonConvergenceError, make_lemma1, make_spec,
+                     power_decay_source, quadrature, rearrangement)
 from plapext.quadrature import (DivergenceError, cumulative_integral,
                                 gauss_rule, integrate, integrate_pieces,
                                 tail_panel_sums)
+
+ROW = len(quadrature._K21_NODES)     # integrand nodes per panel
 
 
 def _tail_sum(g, a):
@@ -105,7 +108,7 @@ def test_splitting_at_a_breakpoint_keeps_the_integral(a, width, share):
 
 
 def test_depth_cap_raises():
-    # a jump away from every breakpoint fails the 20/40 test at each level
+    # a jump away from every breakpoint fails the G10/K21 test at each level
     step = lambda x: (x > 1.0 / 3.0).astype(float)
     with pytest.raises(NonConvergenceError):
         integrate(step, 0.0, 1.0, max_depth=5)
@@ -125,6 +128,56 @@ def test_gauss_rule_is_leggauss_read_only():
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
         assert gauss_rule(k)[0] is x
+
+
+def test_kronrod_pair_is_exact_for_polynomials_against_mpmath():
+    # K21 integrates x^k exactly on [-1, 1] up to degree 31, G10 up to 19,
+    # and neither is exact one even degree beyond
+    x = quadrature._K21_NODES
+    for col, degree in ((1, 31), (0, 19)):
+        w = quadrature._PAIR_WEIGHTS[:, col]
+        for k in range(degree + 1):
+            with mpmath.workdps(30):
+                ref = float(mpmath.quad(lambda t: t ** k, [-1, 1]))
+            assert x ** k @ w == pytest.approx(ref, rel=1e-15, abs=1e-15)
+        assert abs(x ** (degree + 1) @ w - 2.0 / (degree + 2)) > 1e-13
+
+
+def test_embedded_g10_is_the_10_point_gauss_rule():
+    x, w = gauss_rule(10)
+    g10 = quadrature._PAIR_WEIGHTS[:, 0]
+    assert np.array_equal(quadrature._K21_NODES[1::2], x)
+    assert np.all(g10[0::2] == 0.0)
+    # leggauss's weights carry a few ulps of rounding; QUADPACK's are
+    # rounded once from 33 digits
+    assert g10[1::2] == pytest.approx(w, rel=2e-15, abs=0.0)
+    assert not quadrature._K21_NODES.flags.writeable
+    assert not quadrature._PAIR_WEIGHTS.flags.writeable
+
+
+def test_talenti_kernel_calls_stay_within_the_node_budget(monkeypatch):
+    # every piece between the 4096 rearrangement radii of the source passes
+    # at level 0: the kernel sees the 4095 pieces after the first, plus the
+    # first piece's 60 graded panels and its innermost sliver, once each,
+    # in calls of at most _NODES_PER_CALL nodes
+    shapes = []
+
+    def recording_integrate(g, *args, **kwargs):
+        def rec(x):
+            shapes.append(x.shape)
+            return g(x)
+        return integrate(rec, *args, **kwargs)
+
+    monkeypatch.setattr(rearrangement, "integrate", recording_integrate)
+    spec = make_spec(3.0, 2)
+    f = power_decay_source(spec, 1.0, 1.0)
+    rearrangement.talenti_bound(0.0, f, spec, 3.0 * np.pi, R_in=1.0,
+                                R_out=2.0)
+    assert rearrangement._SOURCE_SAMPLES == 4096
+    assert all(rows * cols <= quadrature._NODES_PER_CALL
+               for rows, cols in shapes)
+    assert {cols for _, cols in shapes} == {ROW}
+    assert sum(rows for rows, _ in shapes) == 4156
 
 
 def test_pieces_match_separate_integrals():
@@ -191,7 +244,7 @@ def _rows_within_pieces(calls, edges):
     # every call is a 2D array of nodes, and every row lies inside one piece
     # (edges[k-1], edges[k])
     for x in calls:
-        assert x.ndim == 2 and x.shape[1] == 60
+        assert x.ndim == 2 and x.shape[1] == ROW
         first = np.searchsorted(edges, x.min(axis=1), side="right")
         last = np.searchsorted(edges, x.max(axis=1), side="left")
         assert np.array_equal(first, last)
@@ -201,7 +254,7 @@ def _rows_within_pieces(calls, edges):
 def test_integrand_rows_are_panels_at_level_0():
     g, calls = _recorded(np.exp)
     integrate(g, 0.0, 1.0, breakpoints=(0.3, 0.7, 1.5))
-    assert len(calls) == 1 and calls[0].shape == (3, 60)
+    assert len(calls) == 1 and calls[0].shape == (3, ROW)
     _rows_within_pieces(calls, [0.0, 0.3, 0.7, 1.0])
 
 
@@ -219,7 +272,7 @@ def test_integrand_rows_of_the_graded_singular_piece():
     integrate(g, 0.0, 0.7, singular_left=True, breakpoints=(0.2, 0.5))
     # the innermost sliver and the 60 graded panels of [0, 0.2], then the
     # two other pieces; no row crosses a graded edge either
-    assert calls[0].shape == (63, 60)
+    assert calls[0].shape == (63, ROW)
     graded = 0.2 * 0.25 ** np.arange(60, -1, -1.0)
     _rows_within_pieces(calls, np.concatenate(([0.0], graded, [0.5, 0.7])))
 

@@ -137,7 +137,7 @@ def test_values_match_a_per_radius_loop(coeff):
         assert got == pytest.approx([value[r] for r in radii], rel=1e-13,
                                     abs=0.0)
         # each radius by its own integral from R_in: u' comes from a C^1
-        # spline, on which one 20/40-point estimate at 1e-12 is good to a
+        # spline, on which one G10/K21 estimate at 1e-12 is good to a
         # few 1e-12 only
         whole = [sol.u_in + integrate(sol.u_prime, 1.0, r, rel_tol=1e-12)
                  for r in radii]
