@@ -10,10 +10,10 @@ power/log scales); 2D polar meshes use one-sided differences in radius and
 forward differences in angle per cell.  The nonlinear solve is a damped
 Newton method: the local Hessian w I + q g g^T of Phi(|g|) per cell is
 SPD, and an Armijo backtracking on J keeps the energy nonincreasing.  The
-1D systems are tridiagonal; the 2D ones are solved by a banded Cholesky
-factorization with the interior nodes ordered ring by ring and the angles
-of each ring folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at
-T + 2.
+1D systems are tridiagonal, solved by LAPACK's gtsv; the 2D ones are
+solved by a banded Cholesky factorization with the interior nodes ordered
+ring by ring and the angles of each ring folded (0, T-1, 1, T-2, ...),
+which keeps the bandwidth at T + 2.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from .operator_core import (DomainError, NonConvergenceError, phi_eval,
                             phi_prime, unit_ball_volume)
@@ -34,6 +34,7 @@ _EXHAUST_RHO = 4.0     # exhaust_exterior compares levels on [1, rho]
 # draws from a generator with this seed
 _HOLDER_MAX_PAIRS = 400_000
 _HOLDER_SEED = 0
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +165,18 @@ class GridFunction:
             raise DomainError(f"values shape {self.values.shape} != {expect}")
 
     def at_radius(self, R):
-        """Values on the sphere of radius R (linear interpolation in r)."""
+        """Values on the sphere of radius R (linear interpolation in r): a
+        number on a 1D mesh, a row over the angles on a 2D one.  An array
+        of radii gives one such value or row per radius, elementwise."""
         r = self.mesh.radii
-        if not (r[0] - 1e-12 <= R <= r[-1] + 1e-12):
-            raise DomainError(f"radius {R} outside mesh range")
+        R = np.asarray(R, dtype=float)
+        inside = (r[0] - 1e-12 <= R) & (R <= r[-1] + 1e-12)
+        if not np.all(inside):
+            raise DomainError(f"radius {R[~inside][0]} outside mesh range")
         i = np.clip(np.searchsorted(r, R) - 1, 0, len(r) - 2)
-        t = (R - r[i]) / (r[i + 1] - r[i])
-        t = min(max(t, 0.0), 1.0)
+        t = np.clip((R - r[i]) / (r[i + 1] - r[i]), 0.0, 1.0)
+        if self.mesh.is_2d:
+            t = t[..., None]
         return (1 - t) * self.values[i] + t * self.values[i + 1]
 
 
@@ -362,19 +368,35 @@ class _RingBand:
         return out
 
 
+def solve_banded(mesh, d, rhs):
+    """Solve the tridiagonal interior system of a radial mesh.
+
+    This is the package's own 1D band solve: LAPACK gtsv (Gaussian
+    elimination with partial pivoting), the routine scipy.linalg's
+    solve_banded calls for one band on each side, without its checks and
+    copies.  d holds the conductances of the mesh's M cells: the system
+    has diagonal d[:-1] + d[1:] and off-diagonals -d[1:-1] over the M - 1
+    interior nodes.  rhs may be overwritten by the solution.  Raises
+    NonConvergenceError if the system is singular.
+    """
+    *_, x, info = _GTSV(-d[1:-1], d[:-1] + d[1:], -d[1:-1], rhs,
+                        True, True, True, True)
+    if info > 0:
+        raise NonConvergenceError(
+            f"{len(mesh.radii)}-node radial mesh on [{mesh.R_in}, "
+            f"{mesh.R_out}]: the tridiagonal system is singular (gtsv "
+            f"info {info})")
+    return x
+
+
 def _newton_direction_1d(mesh, spec, values, grad):
     h = mesh.dr
     cells = mesh.cell_measures()
     g = np.diff(values) / h
     mag = np.maximum(np.abs(g), _GRAD_FLOOR)
     d = phi_prime(spec, mag) * cells / h ** 2     # local Hessian conductances
-    M = len(mesh.radii) - 1
-    ab = np.zeros((3, M - 1))
-    ab[0, 1:] = -d[1:M - 1]
-    ab[1, :] = d[:M - 1] + d[1:M]
-    ab[2, :-1] = -d[1:M - 1]
     step = np.zeros_like(values)
-    step[1:M] = solve_banded((1, 1), ab, -grad[1:M])
+    step[1:-1] = solve_banded(mesh, d, -grad[1:-1])
     return step
 
 
@@ -513,9 +535,9 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
         sups.append(float(np.max(u.values)))
         if prev is not None:
             top = min(_EXHAUST_RHO, prev.mesh.R_out)
-            d = max(float(np.max(np.abs(u.at_radius(R) - prev.at_radius(R))))
-                    for R in compare_radii if R <= top)
-            devs.append(d)
+            radii = compare_radii[compare_radii <= top]
+            devs.append(float(np.max(np.abs(u.at_radius(radii)
+                                            - prev.at_radius(radii)))))
         prev = u
     return ExhaustionResult(radii_schedule=schedule, solutions=sols,
                             sups=sups, deviations=devs, final=prev)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import DomainError, phi_inverse_array, unit_ball_volume
-from .quadrature import integrate
+from .quadrature import G3_K7, integrate
 
 _SOURCE_SAMPLES = 4096     # radii of the source the bounds rearrange
 
@@ -131,12 +131,15 @@ def _rho_max(n, Omega_measure):
 
 def _integrate_kernel(kernel, f_star, a, b):
     # the kernels are smooth between consecutive rearrangement radii, so
-    # with every radius a panel edge each piece passes its G10/K21 test
-    # without refinement, at 21 kernel nodes a piece; no row of integrand
-    # nodes then crosses a radius, and the kernels look up the piece of
-    # each row once (`_cumulative(rows=True)`)
+    # with every radius a panel edge the pieces pass their G3/K7 test
+    # without refinement, at 7 kernel nodes a piece where the default
+    # G10/K21 pair spends 21; only the graded panels at the centre and a
+    # few pieces after them, where a kernel grows like rho^(1/(p-1)), are
+    # bisected.  No row of integrand nodes crosses a radius, and the
+    # kernels look up the piece of each row once (`_cumulative(rows=True)`)
     return integrate(kernel, a, b, rel_tol=1e-10,
-                     singular_left=(a == 0.0), breakpoints=f_star.radii[:-1])
+                     singular_left=(a == 0.0), breakpoints=f_star.radii[:-1],
+                     rule=G3_K7)
 
 
 def talenti_bound(u_boundary_sup, f, spec, Omega_measure, R_in=None,

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import solve_banded as scipy_solve_banded
 from scipy.sparse.linalg import spsolve as sparse_spsolve
 
 from plapext import annulus_solver
@@ -226,6 +227,67 @@ def test_band_solve_of_indefinite_system_raises(monkeypatch):
     with pytest.raises(NonConvergenceError, match="9x12 polar mesh"):
         solve_dirichlet(mesh, spec, zero_source(),
                         {"inner": 1.0, "outer": 0.0})
+
+
+@pytest.mark.parametrize("size", [3, 8, 96, 200])
+def test_tridiagonal_solve_matches_scipy_solve_banded_bitwise(size):
+    # random SPD tridiagonal systems: conductances over six decades
+    rng = np.random.default_rng(size)
+    d = 10.0 ** rng.uniform(-3.0, 3.0, size + 1)
+    rhs = rng.standard_normal(size)
+    ab = np.zeros((3, size))
+    ab[0, 1:] = -d[1:-1]
+    ab[1, :] = d[:-1] + d[1:]
+    ab[2, :-1] = -d[1:-1]
+    mesh = radial_mesh(2, 1.0, 2.0, size + 1)
+    got = annulus_solver.solve_banded(mesh, d, rhs.copy())
+    assert np.array_equal(got, scipy_solve_banded((1, 1), ab, rhs))
+
+
+def test_singular_tridiagonal_system_raises(monkeypatch):
+    d = np.array([0.0, 0.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0])
+    with pytest.raises(NonConvergenceError, match="9-node radial mesh"):
+        annulus_solver.solve_banded(radial_mesh(2, 1.0, 2.0, 8), d,
+                                    np.ones(7))
+    # phi' = 0 leaves the 1D Newton system without conductances
+    monkeypatch.setattr(annulus_solver, "phi_prime",
+                        lambda spec, t: np.zeros_like(t))
+    with pytest.raises(NonConvergenceError, match="13-node radial mesh"):
+        solve_dirichlet(radial_mesh(2, 1.0, 2.0, 12), make_spec(2.0, 2),
+                        zero_source(), {"inner": 1.0, "outer": 0.0})
+
+
+def _at_radius_one_by_one(u, R):
+    """Linear interpolation in r at one radius, with Python's min and max."""
+    r = u.mesh.radii
+    i = np.clip(np.searchsorted(r, R) - 1, 0, len(r) - 2)
+    t = (R - r[i]) / (r[i + 1] - r[i])
+    t = min(max(t, 0.0), 1.0)
+    return (1 - t) * u.values[i] + t * u.values[i + 1]
+
+
+@pytest.mark.parametrize("mesh", [
+    radial_mesh(2, 1.0, 3.0, 17),
+    polar_mesh(1.0, 2.0, 12, 16, inner_layers=3, theta_center=0.3),
+], ids=["radial", "graded_polar"])
+def test_at_radius_of_an_array_matches_the_scalar_loop(mesh):
+    rng = np.random.default_rng(5)
+    shape = (len(mesh.radii),) + ((len(mesh.theta),) if mesh.is_2d else ())
+    u = GridFunction(mesh=mesh, values=rng.standard_normal(shape))
+    r = mesh.radii
+    radii = np.concatenate((
+        [r[0], r[-1], r[0] - 5e-13, r[-1] + 5e-13],
+        r, 0.5 * (r[:-1] + r[1:]), rng.uniform(r[0], r[-1], 40)))
+    got = u.at_radius(radii)
+    assert got.shape == (len(radii),) + shape[1:]
+    for R, row in zip(radii, got):
+        assert np.array_equal(row, u.at_radius(float(R)))
+        assert np.array_equal(row, _at_radius_one_by_one(u, float(R)))
+    for outside in (r[0] - 1e-9, r[-1] + 1e-9, np.nan):
+        with pytest.raises(DomainError, match="outside mesh range"):
+            u.at_radius(outside)
+        with pytest.raises(DomainError, match=f"radius {outside} outside"):
+            u.at_radius(np.array([r[0], outside, r[-1]]))
 
 
 def test_energy_density_uses_the_24_point_rule():

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from plapext import (NonConvergenceError, make_lemma1, make_spec,
                      power_decay_source, quadrature, rearrangement)
-from plapext.quadrature import (DivergenceError, cumulative_integral,
-                                gauss_rule, integrate, integrate_pieces,
-                                tail_panel_sums)
+from plapext.quadrature import (G3_K7, G10_K21, DivergenceError,
+                                cumulative_integral, gauss_rule, integrate,
+                                integrate_pieces, tail_panel_sums)
 
-ROW = len(quadrature._K21_NODES)     # integrand nodes per panel
+ROW = len(G10_K21[0])     # integrand nodes per panel of the default pair
 
 
 def _tail_sum(g, a):
@@ -130,12 +130,12 @@ def test_gauss_rule_is_leggauss_read_only():
         assert gauss_rule(k)[0] is x
 
 
-def test_kronrod_pair_is_exact_for_polynomials_against_mpmath():
-    # K21 integrates x^k exactly on [-1, 1] up to degree 31, G10 up to 19,
-    # and neither is exact one even degree beyond
-    x = quadrature._K21_NODES
-    for col, degree in ((1, 31), (0, 19)):
-        w = quadrature._PAIR_WEIGHTS[:, col]
+def _check_exact_for_polynomials(rule, gauss_degree, kronrod_degree):
+    # each rule of the pair integrates x^k exactly on [-1, 1] up to its
+    # degree, against mpmath, and is not exact one even degree beyond
+    x, weights = rule
+    for col, degree in ((1, kronrod_degree), (0, gauss_degree)):
+        w = weights[:, col]
         for k in range(degree + 1):
             with mpmath.workdps(30):
                 ref = float(mpmath.quad(lambda t: t ** k, [-1, 1]))
@@ -143,41 +143,128 @@ def test_kronrod_pair_is_exact_for_polynomials_against_mpmath():
         assert abs(x ** (degree + 1) @ w - 2.0 / (degree + 2)) > 1e-13
 
 
+def test_kronrod_pair_is_exact_for_polynomials_against_mpmath():
+    _check_exact_for_polynomials(G10_K21, 19, 31)
+
+
+def test_g3_k7_is_exact_for_polynomials_against_mpmath():
+    _check_exact_for_polynomials(G3_K7, 5, 11)
+
+
+def _check_embedded_gauss_rule(rule, k):
+    x, w = gauss_rule(k)
+    nodes, weights = rule
+    gauss = weights[:, 0]
+    assert len(nodes) == 2 * k + 1
+    assert np.array_equal(nodes[1::2], x)
+    assert np.all(gauss[0::2] == 0.0)
+    # leggauss's weights carry a few ulps of rounding; the tabulated ones
+    # are rounded once from 33 digits
+    assert gauss[1::2] == pytest.approx(w, rel=2e-15, abs=0.0)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 def test_embedded_g10_is_the_10_point_gauss_rule():
-    x, w = gauss_rule(10)
-    g10 = quadrature._PAIR_WEIGHTS[:, 0]
-    assert np.array_equal(quadrature._K21_NODES[1::2], x)
-    assert np.all(g10[0::2] == 0.0)
-    # leggauss's weights carry a few ulps of rounding; QUADPACK's are
-    # rounded once from 33 digits
-    assert g10[1::2] == pytest.approx(w, rel=2e-15, abs=0.0)
-    assert not quadrature._K21_NODES.flags.writeable
-    assert not quadrature._PAIR_WEIGHTS.flags.writeable
+    _check_embedded_gauss_rule(G10_K21, 10)
 
 
-def test_talenti_kernel_calls_stay_within_the_node_budget(monkeypatch):
-    # every piece between the 4096 rearrangement radii of the source passes
-    # at level 0: the kernel sees the 4095 pieces after the first, plus the
-    # first piece's 60 graded panels and its innermost sliver, once each,
-    # in calls of at most _NODES_PER_CALL nodes
-    shapes = []
+def test_embedded_g3_is_the_3_point_gauss_rule():
+    _check_embedded_gauss_rule(G3_K7, 3)
+
+
+def _kronrod_by_mpmath(k):
+    """Nodes (ascending) and weights of the (2k+1)-point Kronrod extension
+    of the k-point Gauss rule, at 40 digits: the added nodes are the zeros
+    of the Stieltjes polynomial E, monic of degree k + 1 with
+    int P_k E x^j dx = 0 for j <= k, and the weights make the rule exact
+    for 1, x, ..., x^(2k)."""
+    with mpmath.workdps(40):
+        def moment(j):         # int_{-1}^{1} P_k(x) x^j dx
+            return mpmath.quad(lambda t: mpmath.legendre(k, t) * t ** j,
+                               [-1, 1])
+        # E(x) = x^(k+1) + sum_i c_i x^i; k+1 conditions on c_0..c_k
+        A = mpmath.matrix(k + 1, k + 1)
+        rhs = mpmath.matrix(k + 1, 1)
+        for j in range(k + 1):
+            for i in range(k + 1):
+                A[j, i] = moment(i + j)
+            rhs[j] = -moment(k + 1 + j)
+        c = mpmath.lu_solve(A, rhs)
+        stieltjes = mpmath.polyroots([1] + [c[i] for i in range(k, -1, -1)],
+                                     maxsteps=200, extraprec=200)
+        gauss = mpmath.polyroots(mpmath.taylor(
+            lambda t: mpmath.legendre(k, t), 0, k)[::-1], maxsteps=200,
+            extraprec=200)
+        nodes = sorted([mpmath.re(t) for t in stieltjes]
+                       + [mpmath.re(t) for t in gauss])
+        V = mpmath.matrix([[t ** j for t in nodes]
+                           for j in range(2 * k + 1)])
+        moments = mpmath.matrix([mpmath.mpf(2) / (j + 1) if j % 2 == 0
+                                 else 0 for j in range(2 * k + 1)])
+        weights = mpmath.lu_solve(V, moments)
+        return ([float(t) for t in nodes],
+                [float(weights[i]) for i in range(2 * k + 1)])
+
+
+def test_g3_k7_matches_a_40_digit_construction():
+    nodes, weights = _kronrod_by_mpmath(3)
+    assert np.array_equal(G3_K7[0], nodes)
+    assert np.array_equal(G3_K7[1][:, 1], weights)
+    assert np.array_equal(G3_K7[1][1::2, 0], [5 / 9, 8 / 9, 5 / 9])
+
+
+def _record_talenti_kernel_calls(monkeypatch):
+    calls = []
 
     def recording_integrate(g, *args, **kwargs):
         def rec(x):
-            shapes.append(x.shape)
+            calls.append(np.array(x))
             return g(x)
         return integrate(rec, *args, **kwargs)
 
     monkeypatch.setattr(rearrangement, "integrate", recording_integrate)
+    return calls
+
+
+def test_talenti_kernel_calls_stay_within_the_node_budget(monkeypatch):
+    # at level 0 the kernel sees the 4095 pieces between the 4096
+    # rearrangement radii of the source, plus the first piece's 60 graded
+    # panels and its innermost sliver, once each, in rows of the 7 G3/K7
+    # nodes and calls of at most _NODES_PER_CALL nodes.  Near the centre
+    # the kernel grows like sqrt(rho), which G3 misses on the top graded
+    # panels and the three pieces after them by up to 2.6e6 times the
+    # tolerance, so those are bisected: only panels below the fourth
+    # radius, in no more than the 80 rows they take now
+    calls = _record_talenti_kernel_calls(monkeypatch)
     spec = make_spec(3.0, 2)
     f = power_decay_source(spec, 1.0, 1.0)
     rearrangement.talenti_bound(0.0, f, spec, 3.0 * np.pi, R_in=1.0,
                                 R_out=2.0)
     assert rearrangement._SOURCE_SAMPLES == 4096
-    assert all(rows * cols <= quadrature._NODES_PER_CALL
-               for rows, cols in shapes)
-    assert {cols for _, cols in shapes} == {ROW}
-    assert sum(rows for rows, _ in shapes) == 4156
+    per_call = quadrature._NODES_PER_CALL // 7
+    rows = [len(x) for x in calls]
+    assert all(x.shape[1] == len(G3_K7[0]) == 7 for x in calls)
+    assert rows[:4] == [per_call] * 3 + [4156 - 3 * per_call]
+    fs = rearrangement._source_rearrangement(f, 2, 3.0 * np.pi, 1.0, 2.0)
+    assert all(np.max(x) < fs.radii[3] for x in calls[4:])
+    assert sum(rows[4:]) <= 80
+
+
+def test_talenti_profile_pieces_pass_at_level_0(monkeypatch):
+    # away from the centre every piece between rearrangement radii passes
+    # its G3/K7 test unrefined: the profile at 0.2 rho_max sees each piece
+    # above x_radius once, and nothing more
+    calls = _record_talenti_kernel_calls(monkeypatch)
+    spec = make_spec(3.0, 2)
+    f = power_decay_source(spec, 1.0, 1.0)
+    fs = rearrangement._source_rearrangement(f, 2, 3.0 * np.pi, 1.0, 2.0)
+    x_radius = 0.2 * fs.outer_radius
+    rearrangement.full_talenti_profile(0.0, f, spec, 3.0 * np.pi, x_radius,
+                                       R_in=1.0, R_out=2.0)
+    pieces = np.count_nonzero(fs.radii[:-1] > x_radius) + 1
+    per_call = quadrature._NODES_PER_CALL // 7
+    assert sum(len(x) for x in calls) == pieces
+    assert len(calls) == -(-pieces // per_call)
 
 
 def test_pieces_match_separate_integrals():

@@ -8,7 +8,7 @@ from plapext import (GridFunction, full_talenti_profile, make_spec,
                      phi_inverse_array, power_decay_source, radial_mesh,
                      rearrange, rearrange_samples, solve_dirichlet,
                      talenti_bound, unit_ball_volume)
-from plapext.quadrature import integrate
+from plapext.quadrature import G3_K7, G10_K21, integrate
 from plapext.rearrangement import _source_rearrangement
 from plapext.source_terms import SourceTerm
 
@@ -139,9 +139,10 @@ def test_talenti_bound_two_step_source_exact(p, n):
     assert got == pytest.approx(float(exact), rel=1e-13)
 
 
-def _talenti_per_node(u_sup, fs, spec, measure, x_radius=None):
+def _talenti_per_node(u_sup, fs, spec, measure, x_radius=None, rule=G3_K7):
     """talenti_bound (x_radius None) or full_talenti_profile with the
-    rearrangement piece of every quadrature node looked up on its own."""
+    rearrangement piece of every quadrature node looked up on its own, on
+    panels of the given Gauss-Kronrod pair."""
     n, p = spec.n, spec.p
     rho_max = (measure / unit_ball_volume(n)) ** (1.0 / n)
     nwn = n * unit_ball_volume(n)
@@ -162,7 +163,7 @@ def _talenti_per_node(u_sup, fs, spec, measure, x_radius=None):
     kernel = bound_kernel if x_radius is None else profile_kernel
     return float(u_sup) + float(integrate(
         kernel, a, rho_max, rel_tol=1e-10, singular_left=(a == 0.0),
-        breakpoints=fs.radii[:-1]))
+        breakpoints=fs.radii[:-1], rule=rule))
 
 
 @settings(max_examples=20, deadline=None)
@@ -186,3 +187,28 @@ def test_talenti_rows_match_a_per_node_lookup_bitwise(p, n, coeff, C_f, eps,
         == _talenti_per_node(0.3, fs, spec, measure)
     assert full_talenti_profile(0.3, fs, spec, measure, x_radius) \
         == _talenti_per_node(0.3, fs, spec, measure, x_radius)
+
+
+@pytest.mark.parametrize("samples", [64, 512, 4096])
+@pytest.mark.parametrize("coeff, p, n", [("plap", 3.0, 2), ("plap", 2.2, 3),
+                                         ("plap", 4.0, 2),
+                                         ("smooth-bump", 2.5, 2),
+                                         ("smooth-bump", 3.5, 3),
+                                         ("smooth-bump", 4.0, 3)])
+@pytest.mark.parametrize("where", ["zero", "share", "radius"])
+def test_talenti_kernels_on_g3_k7_match_g10_k21(samples, coeff, p, n, where):
+    # the Talenti kernels run on the G3/K7 pair; the G10/K21 pair of every
+    # other integral gives the same bound and profile to 1e-14
+    spec = make_spec(p, n, coeff)
+    f = power_decay_source(spec, 1.3, 0.8)
+    measure = unit_ball_volume(n) * (2.0 ** n - 1.0)
+    fs = _source_rearrangement(f, n, measure, 1.0, 2.0, samples)
+    rho_max = fs.outer_radius
+    x_radius = {"zero": 0.0, "share": 0.37 * rho_max,
+                "radius": fs.radii[samples // 3]}[where]
+    assert talenti_bound(0.3, fs, spec, measure) == pytest.approx(
+        _talenti_per_node(0.3, fs, spec, measure, rule=G10_K21),
+        rel=1e-14, abs=0.0)
+    assert full_talenti_profile(0.3, fs, spec, measure, x_radius) \
+        == pytest.approx(_talenti_per_node(0.3, fs, spec, measure, x_radius,
+                                           rule=G10_K21), rel=1e-14, abs=0.0)
