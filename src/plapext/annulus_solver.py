@@ -18,7 +18,9 @@ which keeps the bandwidth at T + 2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -30,6 +32,7 @@ from .quadrature import gauss_rule
 
 _GRAD_FLOOR = 1e-12
 _EXHAUST_RHO = 4.0     # exhaust_exterior compares levels on [1, rho]
+_COMPARISON_TOL = 1e-9   # comparison_check: u <= v up to this
 # holder_modulus takes every node pair up to this many, else this many
 # draws from a generator with this seed
 _HOLDER_MAX_PAIRS = 400_000
@@ -44,10 +47,13 @@ _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 class AnnularMesh:
     """Radial (1D) or polar (2D) annular mesh.
 
-    The radii and angles are copied and read-only, and so is the geometry
-    built from them once per mesh: cell and node measures, the radial steps
-    dr, the angular steps rdtheta = r_mid * dtheta of the cells, the index
-    arrays theta_next and theta_prev of each angle's angular neighbours.
+    Nodal arrays have `shape`: (radii,) on a radial mesh, (radii, angles)
+    on a polar one; cell arrays have one radius less.  The radii and angles
+    are copied and read-only, and so is the geometry built from them once
+    per mesh: cell and node measures, the radial steps dr, the same steps
+    cell_dr shaped to divide cell arrays (a column on a polar mesh), the
+    angular steps rdtheta = r_mid * dtheta of the cells, the index arrays
+    theta_next and theta_prev of each angle's angular neighbours.
     """
     n: int
     radii: np.ndarray
@@ -64,6 +70,7 @@ class AnnularMesh:
         omega = unit_ball_volume(self.n)
         shells = omega * (radii[1:] ** self.n - radii[:-1] ** self.n)
         if self.theta is None:
+            self._freeze("cell_dr", self.dr)
             self._freeze("_cells", shells)
             mu = np.zeros(len(radii))
             mu[:-1] += 0.5 * shells
@@ -73,6 +80,7 @@ class AnnularMesh:
         if self.n != 2:
             raise DomainError("angular meshes are 2D only")
         self._freeze("theta", np.array(self.theta, dtype=float))
+        self._freeze("cell_dr", self.dr[:, None])
         T = len(self.theta)
         self._freeze("theta_next", (np.arange(T) + 1) % T)
         self._freeze("theta_prev", (np.arange(T) - 1) % T)
@@ -96,6 +104,11 @@ class AnnularMesh:
     @property
     def is_2d(self):
         return self.theta is not None
+
+    @property
+    def shape(self):
+        """Shape of nodal arrays."""
+        return self._nodes.shape
 
     @property
     def R_in(self):
@@ -159,10 +172,9 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid function values must be finite")
-        expect = (len(self.mesh.radii),) if not self.mesh.is_2d else \
-            (len(self.mesh.radii), len(self.mesh.theta))
-        if self.values.shape != expect:
-            raise DomainError(f"values shape {self.values.shape} != {expect}")
+        if self.values.shape != self.mesh.shape:
+            raise DomainError(
+                f"values shape {self.values.shape} != {self.mesh.shape}")
 
     def at_radius(self, R):
         """Values on the sphere of radius R (linear interpolation in r): a
@@ -195,20 +207,17 @@ def _Phi(spec, s):
 
 
 def _source_values(f, mesh):
-    if f is None:
-        shape = (len(mesh.radii),) if not mesh.is_2d else \
-            (len(mesh.radii), len(mesh.theta))
-        return np.zeros(shape)
-    vals = np.asarray(f(mesh.radii), dtype=float)
-    if mesh.is_2d:
-        vals = np.repeat(vals[:, None], len(mesh.theta), axis=1)
-    return vals
+    """The radial source f (None: zero) at the nodes, read-only; on a polar
+    mesh its radial profile is broadcast over the angles."""
+    vals = 0.0 if f is None else np.asarray(f(mesh.radii), dtype=float)
+    return np.broadcast_to(vals, mesh.shape[::-1]).T
 
 
 def _cell_gradients(mesh, values):
+    """Radial differences of every cell, then, on a polar mesh, angular."""
+    du_r = np.diff(values, axis=0) / mesh.cell_dr
     if not mesh.is_2d:
-        return (np.diff(values) / mesh.dr,)
-    du_r = np.diff(values, axis=0) / mesh.dr[:, None]
+        return (du_r,)
     du_t = (values[:-1, mesh.theta_next] - values[:-1]) / mesh.rdtheta
     return du_r, du_t
 
@@ -237,17 +246,13 @@ def energy_gradient(mesh, spec, values, fvals):
     mag_f = np.maximum(mag, _GRAD_FLOOR)
     w = phi_eval(spec, mag_f) / mag_f          # phi(|g|)/|g|, floored
     grad = -fvals * mesh.node_measures()
-    if not mesh.is_2d:
-        flux = w * grads[0] * cells / mesh.dr
-        grad[:-1] -= flux
-        grad[1:] += flux
-        return grad
-    flux_r = w * grads[0] * cells / mesh.dr[:, None]
-    flux_t = w * grads[1] * cells / mesh.rdtheta
-    grad[:-1, :] -= flux_r
-    grad[1:, :] += flux_r
-    grad[:-1, :] -= flux_t
-    grad[:-1, :] += flux_t[:, mesh.theta_prev]
+    flux_r = w * grads[0] * cells / mesh.cell_dr
+    grad[:-1] -= flux_r
+    grad[1:] += flux_r
+    if mesh.is_2d:
+        flux_t = w * grads[1] * cells / mesh.rdtheta
+        grad[:-1] -= flux_t
+        grad[:-1] += flux_t[:, mesh.theta_prev]
     return grad
 
 
@@ -263,22 +268,16 @@ class EnergyReport:
 # ---------------------------------------------------------------------------
 # nonlinear solves
 
-def _trace_values(data, theta):
-    # constants, arrays over theta, or callables of theta are all accepted
-    if callable(data):
-        data = data(theta)
-    return np.broadcast_to(np.asarray(data, dtype=float), theta.shape)
-
-
 def _apply_boundary(mesh, values, boundary_data):
-    inner = boundary_data["inner"]
-    outer = boundary_data["outer"]
-    if mesh.is_2d:
-        values[0, :] = _trace_values(inner, mesh.theta)
-        values[-1, :] = _trace_values(outer, mesh.theta)
-    else:
-        values[0] = float(inner)
-        values[-1] = float(outer)
+    """Write the inner and outer traces into the first and last rows of
+    values.  A trace is a number; on a polar mesh it may also be an array
+    over the angles or a callable of the angle."""
+    for row, side in ((0, "inner"), (-1, "outer")):
+        data = boundary_data[side]
+        if not mesh.is_2d and not isinstance(data, numbers.Real):
+            raise DomainError(f"{side} data on a radial mesh must be a "
+                              f"number, not {type(data).__name__}")
+        values[row] = data(mesh.theta) if callable(data) else data
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def _cell_couplings(mesh, Mrr, Mrt, Mtt):
     c -> (0, bt); M = [[Mrr, Mrt], [Mrt, Mtt]] is the cell's local Hessian
     of Phi(|g|), w I + q g g^T, times the cell measure.
     """
-    br = 1.0 / mesh.dr[:, None]
+    br = 1.0 / mesh.cell_dr
     bt = 1.0 / mesh.rdtheta
     rr, rt, tt = Mrr * br ** 2, Mrt * br * bt, Mtt * bt ** 2
     return np.stack((rr + 2.0 * rt + tt, rr, tt, -rr - rt, -rt - tt, rt))
@@ -390,11 +389,10 @@ def solve_banded(mesh, d, rhs):
 
 
 def _newton_direction_1d(mesh, spec, values, grad):
-    h = mesh.dr
-    cells = mesh.cell_measures()
-    g = np.diff(values) / h
+    g, = _cell_gradients(mesh, values)
     mag = np.maximum(np.abs(g), _GRAD_FLOOR)
-    d = phi_prime(spec, mag) * cells / h ** 2     # local Hessian conductances
+    # local Hessian conductances
+    d = phi_prime(spec, mag) * mesh.cell_measures() / mesh.dr ** 2
     step = np.zeros_like(values)
     step[1:-1] = solve_banded(mesh, d, -grad[1:-1])
     return step
@@ -415,8 +413,13 @@ def _newton_direction_2d(mesh, spec, values, grad, band):
 
 
 def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
-                    tol=1e-10, max_iter=400, initial=None):
+                    tol=1e-10, max_iter=400):
     """Discrete energy minimizer with Dirichlet data on both circles.
+
+    boundary_data maps "inner" and "outer" to the traces: numbers, or on a
+    polar mesh also arrays over the angles or callables of the angle; other
+    data on a radial mesh raises DomainError.  Newton starts from the
+    interpolation of the two traces linear in log r.
 
     The minimization is damped Newton, the only method: `method` accepts
     "newton" alone and raises DomainError for anything else.  It stays a
@@ -428,35 +431,24 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     if method != "newton":
         raise DomainError(f"unknown method {method!r}")
     fvals = _source_values(f, mesh)
-    shape = fvals.shape
-    values = np.zeros(shape) if initial is None \
-        else np.array(initial, dtype=float)
+    values = np.zeros(mesh.shape)
     _apply_boundary(mesh, values, boundary_data)
-    if initial is None:
-        # linear-in-log-r initial guess between the boundary traces
-        t = (np.log(mesh.radii) - np.log(mesh.R_in)) \
-            / (np.log(mesh.R_out) - np.log(mesh.R_in))
-        if mesh.is_2d:
-            values = (1 - t)[:, None] * values[0][None, :] \
-                + t[:, None] * values[-1][None, :]
-        else:
-            values = (1 - t) * values[0] + t * values[-1]
-        _apply_boundary(mesh, values, boundary_data)
+    t = (np.log(mesh.radii) - np.log(mesh.R_in)) \
+        / (np.log(mesh.R_out) - np.log(mesh.R_in))
+    values = np.multiply.outer(1 - t, values[0]) \
+        + np.multiply.outer(t, values[-1])
+    _apply_boundary(mesh, values, boundary_data)
 
     def J(v):
         return discrete_energy(GridFunction(mesh, v), spec, fvals)
 
     def grad_interior(v):
         g = energy_gradient(mesh, spec, v, fvals)
-        if mesh.is_2d:
-            g[0, :] = 0.0
-            g[-1, :] = 0.0
-        else:
-            g[0] = 0.0
-            g[-1] = 0.0
+        g[[0, -1]] = 0.0
         return g
 
-    band = _RingBand(mesh) if mesh.is_2d else None
+    newton_direction = partial(_newton_direction_2d, band=_RingBand(mesh)) \
+        if mesh.is_2d else _newton_direction_1d
     scale = max(1.0, float(np.max(np.abs(fvals))),
                 float(np.max(np.abs(values))))
     energy = J(values)
@@ -467,10 +459,7 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     # iteration computes it, the direction of the next one reuses it
     g = grad_interior(values)
     for it in range(1, max_iter + 1):
-        if mesh.is_2d:
-            d = _newton_direction_2d(mesh, spec, values, g, band)
-        else:
-            d = _newton_direction_1d(mesh, spec, values, g)
+        d = newton_direction(mesh, spec, values, g)
         gdot = float(np.sum(g * d))        # negative: descent direction
         step = 1.0
         new = values + d
@@ -511,10 +500,9 @@ class ExhaustionResult:
 def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
                      cells_per_doubling=16, tol=1e-10, max_iter=400):
     """Truncated-domain sweep: solve on B_(R_m) minus the unit ball with the
-    given inner trace and zero outer trace, for R_m = R0 2^m.  Raises
-    NonConvergenceError if the solve of some level does not converge."""
-    if not spec.p > spec.n and not np.isscalar(inner_boundary_data):
-        raise DomainError("angular exhaustion data requires the p > n regime")
+    given inner trace (a number) and zero outer trace, for R_m = R0 2^m.
+    Raises NonConvergenceError if the solve of some level does not
+    converge."""
     sols, sups, devs, schedule = [], [], [], []
     compare_radii = np.geomspace(1.0, _EXHAUST_RHO, 33)
     prev = None
@@ -553,7 +541,8 @@ def holder_modulus(u, alpha, region=None):
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
     mesh = u.mesh
-    pts = mesh.points().reshape(-1, mesh.points().shape[-1])
+    pts = mesh.points()
+    pts = pts.reshape(-1, pts.shape[-1])
     vals = u.values.ravel()
     if region is not None and mesh.is_2d:
         r_max, th_c, th_h = region
@@ -582,8 +571,9 @@ def holder_modulus(u, alpha, region=None):
     return best
 
 
-def comparison_check(u, v, tol=1e-9):
-    """True iff u <= v + tol at every node (same radii and angles required).
+def comparison_check(u, v):
+    """True iff u <= v + 1e-9 at every node (same radii and angles
+    required).
 
     The caller is responsible for the ordering hypotheses (boundary traces
     and sources); this routine verifies the nodal conclusion.
@@ -592,4 +582,4 @@ def comparison_check(u, v, tol=1e-9):
     if not (np.array_equal(a.radii, b.radii) and
             np.array_equal(a.theta, b.theta)):
         raise DomainError("comparison requires a common mesh")
-    return bool(np.all(u.values <= v.values + tol))
+    return bool(np.all(u.values <= v.values + _COMPARISON_TOL))

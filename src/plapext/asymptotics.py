@@ -43,14 +43,13 @@ class SphereStats:
 def _values_on_spheres(u, radii):
     """Values of u on the sphere of each radius, one array per radius.
 
-    A `RadialProfile` (a radial solution or a barrier) is evaluated at all
-    radii in one pass by `values`; 2D solutions (`at_radius`), objects with
-    `value` and plain callables one radius at a time.
+    A grid function (`at_radius`) and a `RadialProfile` (a radial solution
+    or a barrier, `values`) are evaluated at all radii in one pass; objects
+    with `value` and plain callables one radius at a time.
     """
     radii = [float(R) for R in radii]
     if hasattr(u, "at_radius"):
-        return [np.atleast_1d(np.asarray(u.at_radius(R), dtype=float))
-                for R in radii]
+        return [np.atleast_1d(v) for v in u.at_radius(radii)]
     if callable(getattr(u, "values", None)):
         return [np.atleast_1d(v) for v in u.values(radii)]
     if hasattr(u, "value"):
@@ -281,8 +280,14 @@ class CounterexampleReport:
     bound_ratios: list        # per-decade max of |f| r^p (log r)^{p-1}
     ratio_max: float
     ratio_min: float
-    limsup: float = 1.0
-    liminf: float = -1.0
+
+    @property
+    def limsup(self):
+        return max(self.extrema_values)
+
+    @property
+    def liminf(self):
+        return min(self.extrema_values)
 
     @property
     def has_limit(self):

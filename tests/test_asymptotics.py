@@ -174,7 +174,10 @@ def test_counterexample_exact_extrema():
     rep = counterexample_suite(3.0, n=2, k_max=4)
     # k = 0..4: cos(k pi) alternates starting at +1
     assert list(rep.extrema_values) == [1.0, -1.0, 1.0, -1.0, 1.0]
+    assert (rep.limsup, rep.liminf) == (1.0, -1.0)
     assert not rep.has_limit
+    # a single extremum shows no oscillation
+    assert counterexample_suite(3.0, n=2, k_max=0).has_limit
 
 
 def test_counterexample_ratio_bounded():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,15 @@ def test_source_from_name_grammar():
 def test_check_decay_confirms_tag():
     spec = make_spec(3.0, 2)
     f = power_decay_source(spec, 1.0, 1.0)
-    assert check_decay(f, spec)
+    passed, worst = check_decay(f, spec)
+    assert passed
+    assert worst <= f.C_f * (1 + 1e-9)
+    # the profile of C_f = 2 tagged with C_f = 1
+    mistagged = dataclasses.replace(power_decay_source(spec, 2.0, 1.0),
+                                    C_f=1.0)
+    passed, worst = check_decay(mistagged, spec)
+    assert not passed
+    assert worst > mistagged.C_f
 
 
 def test_counterexample_u_exact_points():

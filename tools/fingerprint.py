@@ -5,8 +5,14 @@
 Run from any directory; the package is imported from this checkout's
 `src` and the cases come from `perfbench/workloads.py`, which is only
 read.  Every case of seeds 1-3 is run once, and one SHA-256 per workload,
-plus one for the barrier families, is printed over:
+plus one for the barrier families and one for the annulus solver paths no
+workload runs, is printed over:
 
+  * annulus: every `solve-annulus` CLI artifact on a radial and on a polar
+    mesh except `manifest.json`; on a polar solution with a cusp in its
+    inner trace, the solution, its `EnergyReport`, `holder_modulus` with
+    and without a region, and `sphere_stats`; `comparison_check` of
+    ordered radial and polar solutions both ways round;
   * barrier: values, u', bounds and `residual_check` of members of all
     four families, plap and smooth-bump at p = 3.5, n = 2, and
     lemma2_prime at p = n = 3, on fixed radii (no workload builds
@@ -41,11 +47,29 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from plapext import (make_lemma1, make_lemma1_prime, make_lemma2,  # noqa: E402
-                     make_lemma2_prime, make_spec, power_decay_source,
-                     residual_check)
+from plapext import (cli, comparison_check, holder_modulus,  # noqa: E402
+                     make_lemma1, make_lemma1_prime, make_lemma2,
+                     make_lemma2_prime, make_spec, polar_mesh,
+                     power_decay_source, radial_mesh, residual_check,
+                     solve_dirichlet, sphere_stats, zero_source)
 
 SEEDS = (1, 2, 3)
+ANNULUS_CONFIG = """[operator]
+p = 3
+n = 2
+[source]
+name = powerdecay:1:1
+[geometry]
+R_in = 1
+R_out = 3
+[mesh]
+{mesh}
+[boundary]
+u_in = 1
+u_out = -0.5
+"""
+ANNULUS_MESHES = ("dim = 1\ncells = 64",
+                  "dim = 2\nradial = 12\nangular = 16")
 
 
 def _feed(h, obj):
@@ -67,6 +91,14 @@ def _feed(h, obj):
         h.update(repr(obj).encode())
 
 
+def _feed_artifacts(h, d):
+    for path in sorted(p for p in d.rglob("*") if p.is_file()):
+        if path.name == "manifest.json":
+            continue
+        h.update(str(path.relative_to(d)).encode())
+        h.update(path.read_bytes())
+
+
 def _feed_outputs(h, name, out):
     if name == "polar2d":
         _feed(h, out["u"])
@@ -75,12 +107,7 @@ def _feed_outputs(h, name, out):
         for key in ("u", "mu", "data", "bound", "profile"):
             _feed(h, out[key])
     else:
-        d = out["out"]
-        for path in sorted(p for p in d.rglob("*") if p.is_file()):
-            if path.name == "manifest.json":
-                continue
-            h.update(str(path.relative_to(d)).encode())
-            h.update(path.read_bytes())
+        _feed_artifacts(h, out["out"])
 
 
 def barrier_fingerprint():
@@ -105,6 +132,38 @@ def barrier_fingerprint():
     return h.hexdigest()
 
 
+def _cusp(th):
+    return np.abs(th % (2 * np.pi) - np.pi) ** 0.5   # cusp at theta = pi
+
+
+def annulus_fingerprint(workdir):
+    h = hashlib.sha256()
+    for index, mesh in enumerate(ANNULUS_MESHES):
+        d = Path(workdir) / f"annulus{index}"
+        d.mkdir()
+        cfg = d / "config.ini"
+        cfg.write_text(ANNULUS_CONFIG.format(mesh=mesh))
+        _feed(h, cli.run("solve-annulus", cfg, d / "out", quiet=True))
+        _feed_artifacts(h, d / "out")
+    spec = make_spec(3.0, 2)
+    mesh = polar_mesh(1.0, 2.0, 12, 24, inner_layers=4, theta_center=np.pi)
+    u, rep = solve_dirichlet(mesh, spec, zero_source(),
+                             {"inner": _cusp, "outer": 0.0})
+    v, _ = solve_dirichlet(mesh, spec, zero_source(),
+                           {"inner": lambda th: _cusp(th) + 0.1,
+                            "outer": 0.1})
+    _feed(h, [u.values, rep, holder_modulus(u, 0.5),
+              holder_modulus(u, 0.5, region=(1.3, np.pi, 0.6)),
+              sphere_stats(u, np.geomspace(1.0, 2.0, 9)),
+              comparison_check(u, v), comparison_check(v, u)])
+    f = power_decay_source(spec, 1.0, 1.0)
+    radial = radial_mesh(2, 1.0, 2.0, 32)
+    a, _ = solve_dirichlet(radial, spec, f, {"inner": 0.5, "outer": 0.0})
+    b, _ = solve_dirichlet(radial, spec, f, {"inner": 1.0, "outer": 0.3})
+    _feed(h, [comparison_check(a, b), comparison_check(b, a)])
+    return h.hexdigest()
+
+
 def fingerprint(name, seeds, workdir):
     h = hashlib.sha256()
     for seed in seeds:
@@ -117,6 +176,7 @@ def fingerprint(name, seeds, workdir):
 def main():
     print(f"barrier {barrier_fingerprint()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
+        print(f"annulus {annulus_fingerprint(tmp)}", flush=True)
         for name in sorted(workloads.WORKLOAD_IDS):
             print(f"{name} {fingerprint(name, SEEDS, tmp)}", flush=True)
 
