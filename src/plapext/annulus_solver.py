@@ -535,8 +535,9 @@ def holder_modulus(u, alpha, region=None):
     """Sampled Holder seminorm estimate: max |u(x)-u(y)| / |x-y|^alpha over
     node pairs with |x-y| <= diam/4.
 
-    region: optional (r_max, theta_center, theta_halfwidth) restriction;
-    pairs then keep at least one endpoint within the region.
+    region: optional (r_max, theta_center, theta_halfwidth) restriction of
+    a polar mesh; pairs then have both endpoints within the region.  A
+    region on a radial mesh, or one that holds no node, raises DomainError.
     """
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
@@ -544,12 +545,17 @@ def holder_modulus(u, alpha, region=None):
     pts = mesh.points()
     pts = pts.reshape(-1, pts.shape[-1])
     vals = u.values.ravel()
-    if region is not None and mesh.is_2d:
+    if region is not None:
+        if not mesh.is_2d:
+            raise DomainError("holder_modulus: a region needs a polar mesh")
         r_max, th_c, th_h = region
         rr = np.repeat(mesh.radii, len(mesh.theta))
         tt = np.tile(mesh.theta, len(mesh.radii))
         ang = np.abs((tt - th_c + np.pi) % (2 * np.pi) - np.pi)
         mask = (rr <= r_max) & (ang <= th_h)
+        if not mask.any():
+            raise DomainError(f"holder_modulus: the region {tuple(region)} "
+                              f"holds no node of the mesh")
         pts, vals = pts[mask], vals[mask]
     N = len(vals)
     diam = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))) * 2.0

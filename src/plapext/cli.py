@@ -134,19 +134,28 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _write(path, text):
+    """Write text to path as UTF-8; returns the bytes written."""
+    data = text.encode()
+    Path(path).write_bytes(data)
+    return data
+
+
 def write_csv(path, header, columns):
+    """Write one CSV artifact; returns its bytes."""
     columns = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, payload):
+    """Write one JSON artifact (with "schema": 1); returns its bytes."""
     payload = dict(payload)
     payload["schema"] = 1
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2,
-                                     allow_nan=False) + "\n")
+    return _write(path, json.dumps(payload, sort_keys=True, indent=2,
+                                   allow_nan=False) + "\n")
 
 
 def _sanitize(obj):
@@ -162,11 +171,15 @@ def _sanitize(obj):
     return obj
 
 
+def _checksums(artifacts):
+    """{name: SHA-256 hex digest} of artifacts, a map of name to bytes."""
+    return {name: hashlib.sha256(artifacts[name]).hexdigest()
+            for name in sorted(artifacts)}
+
+
 def write_manifest(out_dir, cfg, artifacts):
-    checksums = {}
-    for name in sorted(artifacts):
-        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        checksums[name] = digest
+    """Write manifest.json: the config, versions and the checksums of
+    artifacts (name -> the bytes the writers returned)."""
     write_json(out_dir / "manifest.json", {
         "config": cfg.raw_text if cfg is not None else "",
         "versions": {
@@ -175,7 +188,7 @@ def write_manifest(out_dir, cfg, artifacts):
             "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "artifacts": checksums,
+        "artifacts": _checksums(artifacts),
     })
 
 
@@ -220,18 +233,19 @@ def cmd_barrier(cfg, out_dir):
     values = b.values(radii)
     deriv = b.u_prime(radii)
     lower, upper = b.bounds(radii)
-    write_csv(out_dir / "barrier.csv",
-              ["r", "value", "derivative", "lower_bound", "upper_bound"],
-              [radii, values, deriv, lower, upper])
+    table = write_csv(out_dir / "barrier.csv",
+                      ["r", "value", "derivative", "lower_bound",
+                       "upper_bound"],
+                      [radii, values, deriv, lower, upper])
     resid, dominated = residual_check(b, f, radii)
     if np.any(values + 1e-12 < lower) or np.any(values > upper + 1e-12):
         raise CheckFailure("barrier left its two-sided bounds")
-    write_json(out_dir / "summary.json", _sanitize({
+    summary = write_json(out_dir / "summary.json", _sanitize({
         "family": family, "a": a, "R": R,
         "flux_constant": b.C_flux,
         "max_residual": resid, "majorant_dominates": bool(dominated),
     }))
-    return ["barrier.csv", "summary.json"]
+    return {"barrier.csv": table, "summary.json": summary}
 
 
 def cmd_solve_radial(cfg, out_dir):
@@ -255,14 +269,15 @@ def cmd_solve_radial(cfg, out_dir):
         sample_top = R_out
     radii = np.geomspace(R_in, sample_top, samples)
     u = sol.values(radii)
-    write_csv(out_dir / "solution.csv", ["r", "u", "du_dr", "flux"],
-              [radii, u, sol.u_prime(radii), sol.flux(radii)])
+    table = write_csv(out_dir / "solution.csv", ["r", "u", "du_dr", "flux"],
+                      [radii, u, sol.u_prime(radii), sol.flux(radii)])
     summary = {"R_in": R_in, "flux_constant": sol.C_flux,
                "flux_residual": flux_residual(sol, radii[1:-1])}
     if limit is not None:
         summary["limit_at_infinity"] = limit
-    write_json(out_dir / "summary.json", _sanitize(summary))
-    return ["solution.csv", "summary.json"]
+    return {"solution.csv": table,
+            "summary.json": write_json(out_dir / "summary.json",
+                                       _sanitize(summary))}
 
 
 def _mesh_from_config(cfg, spec):
@@ -297,16 +312,16 @@ def cmd_solve_annulus(cfg, out_dir):
     if mesh.is_2d:
         rr = np.repeat(mesh.radii, len(mesh.theta))
         tt = np.tile(mesh.theta, len(mesh.radii))
-        write_csv(out_dir / "solution.csv", ["r", "theta", "u"],
-                  [rr, tt, u.values.ravel()])
+        table = write_csv(out_dir / "solution.csv", ["r", "theta", "u"],
+                          [rr, tt, u.values.ravel()])
     else:
-        write_csv(out_dir / "solution.csv", ["r", "u"],
-                  [mesh.radii, u.values])
-    write_json(out_dir / "summary.json", _sanitize({
+        table = write_csv(out_dir / "solution.csv", ["r", "u"],
+                          [mesh.radii, u.values])
+    summary = write_json(out_dir / "summary.json", _sanitize({
         "energy": report.energy, "grad_norm": report.grad_norm,
         "iterations": report.iterations, "method": method,
     }))
-    return ["solution.csv", "summary.json"]
+    return {"solution.csv": table, "summary.json": summary}
 
 
 def cmd_exhaust(cfg, out_dir):
@@ -319,9 +334,10 @@ def cmd_exhaust(cfg, out_dir):
     result = exhaust_exterior(spec, f, inner, R0=R0, m_max=m_max,
                               cells_per_doubling=cells,
                               tol=cfg.get_float("solver", "tol", 1e-10))
-    write_csv(out_dir / "exhaust.csv", ["m", "R_m", "sup", "deviation"],
-              [np.arange(m_max + 1), result.radii_schedule, result.sups,
-               [np.nan] + result.deviations])
+    table = write_csv(out_dir / "exhaust.csv",
+                      ["m", "R_m", "sup", "deviation"],
+                      [np.arange(m_max + 1), result.radii_schedule,
+                       result.sups, [np.nan] + result.deviations])
     checks = {}
     if f.decay_tagged and spec.p > spec.n:
         bound = lemma2_C0(spec, f.C_f, f.eps) + abs(inner)
@@ -330,11 +346,11 @@ def cmd_exhaust(cfg, out_dir):
         if not checks["uniform_bound"]:
             raise CheckFailure("exhaustion iterates exceeded the a-priori "
                                "uniform bound")
-    write_json(out_dir / "summary.json", _sanitize({
+    summary = write_json(out_dir / "summary.json", _sanitize({
         "sups": list(result.sups), "deviations": list(result.deviations),
         "checks": checks,
     }))
-    return ["exhaust.csv", "summary.json"]
+    return {"exhaust.csv": table, "summary.json": summary}
 
 
 def cmd_rearrange(cfg, out_dir):
@@ -350,16 +366,17 @@ def cmd_rearrange(cfg, out_dir):
     if len(values) != len(measures):
         raise ConfigError("values and measures must have the same length")
     data = rearrange_samples(values, measures, n)
-    write_csv(out_dir / "decreasing.csv", ["s", "u_star"],
-              [data.measure_before[:-1], data.values])
+    decreasing = write_csv(out_dir / "decreasing.csv", ["s", "u_star"],
+                           [data.measure_before[:-1], data.values])
     rho = np.linspace(0.0, data.outer_radius, 129)
-    write_csv(out_dir / "profile.csv", ["rho", "u_sharp"],
-              [rho, data.profile(rho)])
-    write_json(out_dir / "summary.json", _sanitize({
+    profile = write_csv(out_dir / "profile.csv", ["rho", "u_sharp"],
+                        [rho, data.profile(rho)])
+    summary = write_json(out_dir / "summary.json", _sanitize({
         "total_measure": data.total_measure,
         "sup": float(data.values[0]), "n": n,
     }))
-    return ["decreasing.csv", "profile.csv", "summary.json"]
+    return {"decreasing.csv": decreasing, "profile.csv": profile,
+            "summary.json": summary}
 
 
 def cmd_asymptotics(cfg, out_dir):
@@ -403,10 +420,10 @@ def cmd_asymptotics(cfg, out_dir):
     }
     if theta is not None:
         result["harnack_theta"] = theta
-    write_json(out_dir / "asymptotics.json", _sanitize(result))
+    data = write_json(out_dir / "asymptotics.json", _sanitize(result))
     if not checks.get("envelope", True) or not checks.get("harnack", True):
         raise CheckFailure("asymptotic inequality check failed")
-    return ["asymptotics.json"]
+    return {"asymptotics.json": data}
 
 
 def cmd_counterexample(cfg, out_dir):
@@ -416,7 +433,7 @@ def cmd_counterexample(cfg, out_dir):
     samples = cfg.get_int("counterexample", "samples", 400)
     report = counterexample_suite(p, n, radii=np.geomspace(2.0, r_max,
                                                            samples))
-    write_json(out_dir / "counterexample.json", _sanitize({
+    data = write_json(out_dir / "counterexample.json", _sanitize({
         "p": report.p, "n": report.n,
         "extrema_radii": report.extrema_radii,
         "extrema_values": report.extrema_values,
@@ -427,7 +444,7 @@ def cmd_counterexample(cfg, out_dir):
     }))
     if report.has_limit:
         raise CheckFailure("no-limit solution unexpectedly converged")
-    return ["counterexample.json"]
+    return {"counterexample.json": data}
 
 
 HANDLERS = {
@@ -445,7 +462,6 @@ def cmd_suite(cfg, out_dir, quiet):
     names_raw = cfg.get("suite", "experiments")
     names = [s.strip() for s in names_raw.split(",") if s.strip()]
     summary = {}
-    artifacts = []
     base = cfg.path.parent
     for name in names:
         if not cfg.has(name):
@@ -458,17 +474,11 @@ def cmd_suite(cfg, out_dir, quiet):
         sub_dir.mkdir(parents=True, exist_ok=True)
         files = HANDLERS[sub](sub_cfg, sub_dir)
         write_manifest(sub_dir, sub_cfg, files)
-        summary[name] = {
-            "subcommand": sub,
-            "artifacts": {
-                fn: hashlib.sha256((sub_dir / fn).read_bytes()).hexdigest()
-                for fn in sorted(files)},
-        }
+        summary[name] = {"subcommand": sub, "artifacts": _checksums(files)}
         if not quiet:
             print(f"[suite] {name}: ok")
-    write_json(out_dir / "suite_summary.json", summary)
-    artifacts.append("suite_summary.json")
-    return artifacts
+    return {"suite_summary.json":
+            write_json(out_dir / "suite_summary.json", summary)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ phi has a generalized inverse on [0, inf) bracketed by
 
     (s/L)^(1/(p-1)) <= phi^{-1}(s) <= (s/delta)^(1/(p-1)).
 
-The bracket makes the inverse solvable by safeguarded false position
-(Illinois), which never leaves it.
+Every coefficient carries its exact derivative A' (`OperatorSpec.dA`), so
+phi'(t) = t^(p-2) ((p-1) A + t A') is exact, and the inverse is a
+safeguarded Newton solve of log phi(t) = log s in log t, which falls back
+to the geometric midpoint of that bracket whenever a step would leave it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from .expressions import compile_expression
 
 
-_PHI_PRIME_STEP = 1e-6     # relative step of phi_prime's central difference
 _INVERSE_TOL = 1e-12       # phi_inverse_array: |phi(t) - s| <= tol s
+_INVERSE_MAX_ITER = 100    # phi_inverse_array: Newton iterations per element
 # validate_conditions samples A at 0 and on this geometric grid
 _CONDITION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 2001)))
 _CONDITION_GRID.setflags(write=False)
@@ -37,11 +39,13 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Exponent p, dimension n, coefficient A with window [delta, L_up]."""
+    """Exponent p, dimension n, coefficient A with window [delta, L_up]
+    and its derivative dA; a given A without dA raises DomainError."""
 
     p: float
     n: int
     A: object = None            # vectorized callable on [0, inf); None means A == 1
+    dA: object = None           # vectorized A'
     delta: float = 1.0
     L_up: float = 1.0
     const_value: float | None = field(default=None)
@@ -55,8 +59,12 @@ class OperatorSpec:
         if not (0 < self.delta <= self.L_up):
             raise DomainError("need 0 < delta <= L_up")
         if self.A is None:
-            object.__setattr__(self, "A", _const_coeff(1.0))
+            A, dA = _const_coeff(1.0)
+            object.__setattr__(self, "A", A)
+            object.__setattr__(self, "dA", dA)
             object.__setattr__(self, "const_value", 1.0)
+        elif self.dA is None:
+            raise DomainError("a coefficient A needs its derivative dA")
 
     @property
     def alpha(self):
@@ -71,8 +79,11 @@ def _const_coeff(c):
     def A(t):
         t = np.asarray(t, dtype=float)
         return np.full_like(t, c)
+
+    def dA(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
     A.expression = f"const:{c}"
-    return A
+    return A, dA
 
 
 def _smooth_bump_coeff():
@@ -80,26 +91,30 @@ def _smooth_bump_coeff():
     def A(t):
         t = np.asarray(t, dtype=float)
         return 1.0 + 0.25 * np.exp(-((t - 1.0) ** 2))
+
+    def dA(t):
+        d = np.asarray(t, dtype=float) - 1.0
+        return -0.5 * d * np.exp(-(d ** 2))
     A.expression = "smooth-bump"
-    return A
+    return A, dA
 
 
 def coefficient_from_name(name):
-    """Resolve a catalog name to (A, delta, L_up).
+    """Resolve a catalog name to (A, dA, delta, L_up), dA the exact A'.
 
     Names: "plap", "const:c", "smooth-bump", "expr:<expression in t>".
     Expression coefficients get their window estimated by sampling; declare
     delta/L_up explicitly in the OperatorSpec if tighter values are known.
     """
     if name == "plap":
-        return _const_coeff(1.0), 1.0, 1.0
+        return (*_const_coeff(1.0), 1.0, 1.0)
     if name.startswith("const:"):
         c = float(name.split(":", 1)[1])
         if c <= 0:
             raise DomainError("constant coefficient must be positive")
-        return _const_coeff(c), c, c
+        return (*_const_coeff(c), c, c)
     if name == "smooth-bump":
-        return _smooth_bump_coeff(), 1.0, 1.25
+        return (*_smooth_bump_coeff(), 1.0, 1.25)
     if name.startswith("expr:"):
         A = compile_expression(name.split(":", 1)[1], var="t")
         ts = np.geomspace(1e-6, 1e6, 4001)
@@ -107,20 +122,20 @@ def coefficient_from_name(name):
         vals = A(ts)
         if not np.all(np.isfinite(vals)) or np.min(vals) <= 0:
             raise DomainError(f"coefficient {name!r} is not positive and finite")
-        return A, float(np.min(vals)), float(np.max(vals))
+        return A, A.derivative, float(np.min(vals)), float(np.max(vals))
     raise DomainError(f"unknown coefficient name {name!r}")
 
 
 def make_spec(p, n, coeff_name="plap", delta=None, L_up=None):
     """The OperatorSpec of a catalog coefficient; a non-constant A failing
     `validate_conditions` (smooth-bump at p < 1.3423) raises DomainError."""
-    A, d, L = coefficient_from_name(coeff_name)
+    A, dA, d, L = coefficient_from_name(coeff_name)
     const = None
     if coeff_name == "plap":
         const = 1.0
     elif coeff_name.startswith("const:"):
         const = d
-    spec = OperatorSpec(p=float(p), n=int(n), A=A,
+    spec = OperatorSpec(p=float(p), n=int(n), A=A, dA=dA,
                         delta=float(delta if delta is not None else d),
                         L_up=float(L_up if L_up is not None else L),
                         const_value=const, name=coeff_name)
@@ -144,12 +159,10 @@ def phi_eval(spec, t):
 
 
 def phi_prime(spec, t):
-    """Derivative of phi at t > 0 (central difference for general A)."""
+    """Derivative phi'(t) = t^(p-2) ((p-1) A(t) + t A'(t)) at t > 0."""
     t = np.asarray(t, dtype=float)
-    if spec.const_value is not None:
-        return spec.const_value * (spec.p - 1.0) * t ** (spec.p - 2.0)
-    h = _PHI_PRIME_STEP * t
-    return (phi_eval(spec, t + h) - phi_eval(spec, t - h)) / (2.0 * h)
+    return t ** (spec.p - 2.0) * ((spec.p - 1.0) * spec.coeff(t)
+                                  + t * spec.dA(t))
 
 
 def phi_inverse_bracket(spec, s):
@@ -162,72 +175,68 @@ def phi_inverse_bracket(spec, s):
 def phi_inverse_array(spec, s):
     """Vectorized phi^{-1} of a nonnegative array s.
 
-    Safeguarded false position (Illinois) inside the bracket of
-    `phi_inverse_bracket`.  Each element keeps the first point t (a bracket
-    end, then the iterates) with |phi(t) - s| <= _INVERSE_TOL s, so its value
-    depends on its own s only, not on the rest of the batch; raises
-    NonConvergenceError if some element has not met that target after 100
+    Closed form for constant A.  Otherwise Newton on log phi(t) = log s in
+    u = log t, whose slope is (p-1) + t A'(t)/A(t), from one fixed-point
+    step t0 = (s/A(s^(1/(p-1))))^(1/(p-1)).  Each element keeps the
+    bracket of `phi_inverse_bracket`, narrowed by the sign of each residual
+    (phi increases), and takes the bracket's geometric midpoint when a
+    Newton step would leave it (Numerical Recipes' rtsafe).  Each element
+    stops at its own first iterate t with |phi(t) - s| <= _INVERSE_TOL s,
+    so its value depends on its own s only, not on the rest of the batch;
+    s = 0 gives 0.  Raises NonConvergenceError, naming the worst element,
+    if some element has not met that target after _INVERSE_MAX_ITER
     iterations.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise DomainError("phi^{-1} is defined for s >= 0")
+    e = 1.0 / (spec.p - 1.0)
     if spec.const_value is not None:
-        return (s / spec.const_value) ** (1.0 / (spec.p - 1.0))
-    lo, hi = phi_inverse_bracket(spec, s)
-    pm1 = spec.p - 1.0
-    A = spec.A
-
-    def f_raw(t):
-        # phi without the argument checks of phi_eval; t >= 0 by bracket
-        # construction and t^(p-1) vanishes at 0 for every p > 1
-        return t ** pm1 * np.asarray(A(t), dtype=float)
-
-    tol = _INVERSE_TOL
-    flo = f_raw(lo) - s
-    fhi = f_raw(hi) - s
-    if np.any(flo > tol * np.maximum(1.0, s)) or \
-       np.any(fhi < -tol * np.maximum(1.0, s)):
-        raise NonConvergenceError(
-            "phi bracket does not contain a root; the declared delta/L window "
-            "does not bound A")
-    # safeguarded false position (Illinois): the secant point stays inside
-    # the bracket and the stagnant endpoint's residual is halved, so both
-    # endpoints converge; stop on the residual, which is what the contract
-    # |phi(t) - s| <= tol s asks for.  An element that meets it collapses
-    # its bracket onto that point, so it stays there while the others
-    # iterate (the midpoint of [t, t] is t).  A bracket end may meet it
-    # from the start (A at its bound, as for large t with smooth-bump);
-    # iterating toward it would only bisect.
-    target = tol * np.maximum(s, 1e-300)
-    at_lo = np.abs(flo) <= target
-    at_hi = ~at_lo & (np.abs(fhi) <= target)
-    hi = np.where(at_lo, lo, hi)
-    lo = np.where(at_hi, hi, lo)
-    # which end the previous step moved (neither before the first step)
-    moved_hi = np.zeros(lo.shape, dtype=bool)
-    moved_lo = moved_hi
-    for _ in range(100):
-        denom = fhi - flo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sec = (lo * fhi - hi * flo) / denom
-        mid = np.where((denom > 0) & (sec > lo) & (sec < hi),
-                       sec, 0.5 * (lo + hi))
-        fm = f_raw(mid) - s
-        hit = np.abs(fm) <= target
-        if hit.all():
-            return mid
-        go_lo = fm > 0            # root lies in [lo, mid]
-        fhi = np.where(go_lo, fm, np.where(moved_lo, 0.5 * fhi, fhi))
-        flo = np.where(go_lo, np.where(moved_hi, 0.5 * flo, flo), fm)
-        hi = np.where(go_lo | hit, mid, hi)
-        lo = np.where(go_lo & ~hit, lo, mid)
-        moved_hi, moved_lo = go_lo, ~go_lo
-    worst = int(np.argmax(np.abs(fm) / target))
+        return (s / spec.const_value) ** e
+    A, dA, pm1 = spec.A, spec.dA, spec.p - 1.0
+    s_it = s.ravel()
+    out = (s_it / A(s_it ** e)) ** e
+    # the elements still iterating: their places in out, their s, targets,
+    # brackets and iterates; each pass stores every iterate in out and
+    # drops the elements that met the target
+    idx = np.arange(out.size)
+    target = _INVERSE_TOL * np.maximum(s_it, 1e-300)
+    lo, hi = phi_inverse_bracket(spec, s_it)
+    t = out
+    for it in range(_INVERSE_MAX_ITER + 1):
+        a = A(t)
+        phi = t ** pm1 * a
+        keep = np.flatnonzero(np.abs(phi - s_it) > target)
+        if keep.size < t.size or not keep.size:    # (or s is empty)
+            out[idx] = t
+            if not keep.size:
+                return out.reshape(s.shape)
+            idx, s_it, target, lo, hi, t, a, phi = (
+                v[keep] for v in (idx, s_it, target, lo, hi, t, a, phi))
+        if it == _INVERSE_MAX_ITER:
+            break
+        above = phi > s_it
+        lo = np.where(above, lo, t)
+        hi = np.where(above, t, hi)
+        # Newton in log t: log(phi/s) has slope (p-1) + t A'/A
+        t = t * np.exp(np.log(s_it / phi) / (pm1 + t * dA(t) / a))
+        outside = ~((t > lo) & (t < hi))
+        if outside.any():
+            t = np.where(outside, np.sqrt(lo * hi), t)
+    worst = int(np.argmax(np.abs(phi - s_it) / target))
+    sw = s_it[worst]
+    ends = np.array(phi_inverse_bracket(spec, sw))
+    gaps = phi_eval(spec, ends) - sw
+    if ends[1] < np.finfo(float).tiny:
+        why = "the root lies below the smallest normal double"
+    elif gaps[0] > target[worst] or gaps[1] < -target[worst]:
+        why = ("the bracket [(s/L)^(1/(p-1)), (s/delta)^(1/(p-1))] does not "
+               "contain a root: the declared delta/L window does not bound A")
+    else:
+        why = (f"residual {abs(phi[worst] - sw):.3e} after "
+               f"{_INVERSE_MAX_ITER} iterations")
     raise NonConvergenceError(
-        f"phi^{{-1}}({np.ravel(s)[worst]:.6g}) missed the residual target "
-        f"tol*s after 100 iterations (residual "
-        f"{abs(np.ravel(fm)[worst]):.3e})")
+        f"phi^{{-1}}({sw:.6g}) missed the residual target tol*s: {why}")
 
 
 def phi_inverse(spec, s):

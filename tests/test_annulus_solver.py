@@ -196,6 +196,18 @@ def test_holder_modulus_of_sqrt_profile():
     assert 0.0 < s <= 1.0
 
 
+def test_holder_modulus_rejects_a_region_it_cannot_use():
+    radial = radial_mesh(2, 1.0, 4.0, 64)
+    u = GridFunction(mesh=radial, values=np.sqrt(radial.radii))
+    with pytest.raises(DomainError, match="needs a polar mesh"):
+        holder_modulus(u, 0.5, region=(1.3, 0.0, 0.1))
+    polar = polar_mesh(1.0, 4.0, 8, 16)
+    v = GridFunction(mesh=polar, values=np.ones(polar.shape))
+    assert holder_modulus(v, 0.5, region=(1.3, 0.0, 0.1)) == 0.0
+    with pytest.raises(DomainError, match="holds no node"):
+        holder_modulus(v, 0.5, region=(0.5, 0.0, 0.1))
+
+
 def _reference_newton_direction(mesh, spec, values, grad):
     """Newton direction from a sparse assembly of B^T M B and SuperLU."""
     r, h = mesh.radii, np.diff(mesh.radii)

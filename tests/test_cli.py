@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -305,6 +306,33 @@ def test_manifest_has_checksums_and_versions(tmp_path):
     assert "versions" in man and "artifacts" in man
     assert "counterexample.json" in man["artifacts"]
     assert len(man["artifacts"]["counterexample.json"]) == 64  # sha256 hex
+
+
+def test_manifest_digests_are_those_of_the_files_on_disk(tmp_path):
+    # the writers return the bytes they wrote and the manifests hash those;
+    # a suite run covers its own manifest, the sub-directories' manifests
+    # and suite_summary.json
+    write(tmp_path / "b.cfg", BARRIER_CFG)
+    write(tmp_path / "r.cfg", "[rearrange]\nn = 2\nvalues = 3, 1, 2\n"
+                              "measures = 1, 1, 1\n")
+    cfg = write(tmp_path / "suite.cfg", "[suite]\nexperiments = b, r\n"
+                "[b]\nsubcommand = barrier\nconfig = b.cfg\n"
+                "[r]\nsubcommand = rearrange\nconfig = r.cfg\n")
+    out = tmp_path / "out"
+    assert cli.run("suite", cfg, out, quiet=True) == 0
+
+    def on_disk(directory):
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in directory.iterdir()
+                if f.is_file() and f.name != "manifest.json"}
+    suite = json.loads((out / "suite_summary.json").read_text())
+    for directory in (out, out / "b", out / "r"):
+        man = json.loads((directory / "manifest.json").read_text())
+        assert man["artifacts"] == on_disk(directory)
+        if directory != out:
+            assert suite[directory.name]["artifacts"] == on_disk(directory)
+    assert sorted(on_disk(out / "r")) == ["decreasing.csv", "profile.csv",
+                                          "summary.json"]
 
 
 def test_single_subcommand_determinism(tmp_path):

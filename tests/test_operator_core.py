@@ -1,3 +1,7 @@
+import dataclasses
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,11 +53,23 @@ def test_inverse_without_a_root_raises():
     # A jumps from 1 to 2 at t = 1, so phi skips (1, 2): no t meets the
     # residual target for s = 1.5, and the iteration must say so
     spec = OperatorSpec(p=3.0, n=2, A=lambda t: np.where(t < 1.0, 1.0, 2.0),
-                        delta=1.0, L_up=2.0)
+                        dA=np.zeros_like, delta=1.0, L_up=2.0)
     assert phi_inverse_array(spec, np.array([0.5, 4.0])) == pytest.approx(
         [np.sqrt(0.5), np.sqrt(2.0)], rel=1e-12)
     with pytest.raises(NonConvergenceError):
         phi_inverse_array(spec, np.array([0.5, 1.5, 4.0]))
+
+
+def test_inverse_failures_name_their_cause():
+    # A below its declared window: the root lies above the bracket
+    low = OperatorSpec(p=3.0, n=2, A=lambda t: 0.5 + 0.1 * np.exp(-t),
+                       dA=lambda t: -0.1 * np.exp(-t), delta=1.0, L_up=2.0)
+    with pytest.raises(NonConvergenceError, match="window does not bound A"):
+        phi_inverse_array(low, np.array([0.3]))
+    # phi^{-1}(s) ~ s^2 at p = 1.5 is below the smallest normal double
+    with np.errstate(all="ignore"), \
+            pytest.raises(NonConvergenceError, match="smallest normal"):
+        phi_inverse_array(make_spec(1.5, 2, "smooth-bump"), np.array([1e-200]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,12 +109,79 @@ def test_phi_prime_constant_coefficient():
     assert phi_prime(spec, 1.7) == pytest.approx(3.4)
 
 
-def test_phi_prime_finite_difference_branch():
+def _mp_phi_prime(A, p, t):
+    return mpmath.diff(lambda x: x ** (p - 1) * A(x), mpmath.mpf(t))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_phi_prime_smooth_bump_is_exact(p):
+    # phi' from the closed-form A' = -0.5 (t-1) exp(-(t-1)^2), against a
+    # 30-digit derivative of phi itself
+    spec = make_spec(p, 2, "smooth-bump")
+    t = np.concatenate((np.geomspace(1e-3, 1e3, 19), [0.5, 1.0, 1.7, 2.5]))
+    with mpmath.workdps(30):
+        ref = [_mp_phi_prime(lambda x: 1 + mpmath.exp(-(x - 1) ** 2) / 4,
+                             mpmath.mpf(p), ti) for ti in t]
+    assert phi_prime(spec, t) == pytest.approx(np.array(ref, dtype=float),
+                                               rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_phi_prime_of_an_expression_coefficient_is_exact(p):
+    spec = make_spec(p, 2, "expr:1 + 0.5*exp(-t) + 0.1*sin(t)/(1 + t^2)")
+    t = np.geomspace(1e-2, 1e2, 13)
+    with mpmath.workdps(30):
+        ref = [_mp_phi_prime(lambda x: 1 + mpmath.exp(-x) / 2
+                             + mpmath.sin(x) / (10 * (1 + x ** 2)),
+                             mpmath.mpf(p), ti) for ti in t]
+    assert phi_prime(spec, t) == pytest.approx(np.array(ref, dtype=float),
+                                               rel=1e-13)
+
+
+@pytest.mark.parametrize("coeff", ["plap", "const:2.5"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.7])
+def test_phi_prime_constant_coefficient_keeps_its_closed_form(coeff, p):
+    spec = make_spec(p, 2, coeff)
+    t = np.concatenate((np.geomspace(1e-8, 1e8, 33), [0.3, 1.7]))
+    assert np.array_equal(phi_prime(spec, t),
+                          spec.const_value * (p - 1.0) * t ** (p - 2.0))
+
+
+def test_a_coefficient_without_its_derivative_is_rejected():
+    with pytest.raises(DomainError, match="derivative"):
+        OperatorSpec(p=3.0, n=2, A=lambda t: np.ones_like(t))
+
+
+# coefficient evaluations and evaluated elements of one phi_inverse_array
+# call on 61 values s = 1e-30 ... 1e30: the start, the check of t0, then
+# one per Newton iteration, over the elements still iterating
+INVERSE_BUDGET = {1.5: (5, 131), 2.5: (4, 142), 3.0: (4, 149), 4.0: (4, 161)}
+
+
+@pytest.mark.parametrize("p", sorted(INVERSE_BUDGET))
+def test_inverse_coefficient_evaluations_stay_within_the_budget(p):
+    spec = make_spec(p, 2, "smooth-bump")
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return spec.A(t)
+    s = np.geomspace(1e-30, 1e30, 61)
+    t = phi_inverse_array(dataclasses.replace(spec, A=counted), s)
+    assert np.array_equal(t, phi_inverse_array(spec, s))
+    assert (len(sizes), sum(sizes)) == INVERSE_BUDGET[p]
+
+
+def test_inverse_of_zero_is_zero_without_warnings():
     spec = make_spec(3.0, 2, "smooth-bump")
-    t = 0.8
-    h = 1e-6 * t
-    oracle = (phi_eval(spec, t + h) - phi_eval(spec, t - h)) / (2 * h)
-    assert phi_prime(spec, t) == pytest.approx(oracle, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(phi_inverse_array(spec, np.zeros(3)),
+                              np.zeros(3))
+        t = phi_inverse_array(spec, np.array([0.0, 2.0, 0.0]))
+        assert phi_inverse_array(spec, np.zeros((0, 3))).shape == (0, 3)
+    assert t[0] == t[2] == 0.0
+    assert phi_eval(spec, t[1]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_validate_conditions_plap():

@@ -3,16 +3,19 @@
     python3 tools/drift.py OLD_CHECKOUT NEW_CHECKOUT
 
 Each checkout runs, in a fresh process that imports its own `src` and
-reads its own `perfbench/workloads.py`, every exterior and talenti case of
-seeds 1-3 once.  Then one line per field gives how many values were
-compared, how many differ, and the largest relative change
+reads its own `perfbench/workloads.py`, every polar2d, exterior and
+talenti case of seeds 1-3 once.  Then one line per field gives how many
+values were compared, how many differ, and the largest relative change
 |new - old| / max(|old|, |new|), with the case where it occurs and both
 values.  The fields are every field of each JSON artifact of the exterior
 cases except `manifest.json` (which holds checksums), every column of
-their CSV artifacts, and the Talenti bound and full-profile values.  A
-field's values are pooled over all seeds and cases of one workload and
-subcommand; booleans count as 0 and 1, and other non-numbers as changed
-when unequal.  `tools/fingerprint.py` tells whether two checkouts agree
+their CSV artifacts, the Talenti bound and full-profile values, and of
+each polar2d solve the solution `u`, `energy`, `grad_norm` and
+`iterations`.  A polar2d solution counts as one value per case, whose
+relative change is max |new - old| / max(max |old|, max |new|) over the
+nodes.  A field's values are pooled over all seeds and cases of one
+workload and subcommand; booleans count as 0 and 1, and other non-numbers
+as changed when unequal.  `tools/fingerprint.py` tells whether two checkouts agree
 bitwise; this tool tells by how much they differ.
 """
 
@@ -27,11 +30,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 SEEDS = (1, 2, 3)
-WORKLOADS = ("exterior", "talenti")
+WORKLOADS = ("polar2d", "exterior", "talenti")
+POLAR2D_FIELDS = ("energy", "grad_norm", "iterations")
 
 
 def _flatten(obj, key, out):
@@ -80,6 +86,12 @@ def collect(checkout):
                 for index, case in enumerate(w.cases):
                     where = f"seed {seed} case {index}"
                     out = w.run(case, index)
+                    if name == "polar2d":
+                        records[("polar2d u", where)] = [out["u"]]
+                        for field in POLAR2D_FIELDS:
+                            records[(f"polar2d {field}", where)] = \
+                                [getattr(out["report"], field)]
+                        continue
                     if name == "talenti":
                         records[("talenti bound", where)] = [out["bound"]]
                         if out["profile"] is not None:
@@ -98,7 +110,11 @@ def _in_fresh_process(checkout):
 
 
 def _change(old, new):
-    """Relative change of one value; inf for unequal non-numbers."""
+    """Relative change of one value, of an array in the max norm; inf for
+    unequal non-numbers."""
+    if isinstance(old, np.ndarray):
+        scale = max(np.max(np.abs(old)), np.max(np.abs(new)))
+        return float(np.max(np.abs(new - old)) / scale) if scale else 0.0
     if isinstance(old, (int, float)) and isinstance(new, (int, float)):
         old, new = float(old), float(new)
         if old == new or (math.isnan(old) and math.isnan(new)):
@@ -134,7 +150,9 @@ def main(argv):
     for group, (count, changed, worst, where, x, y) in sorted(table.items()):
         line = f"{group}: {changed}/{count} changed"
         if changed:
-            line += f", max rel {worst:.3g} at {where}: {x!r} -> {y!r}"
+            line += f", max rel {worst:.3g} at {where}"
+            if not isinstance(x, np.ndarray):
+                line += f": {x!r} -> {y!r}"
         print(line)
     for group, where in mismatched:
         print(f"{group}: present or sized differently at {where}")
