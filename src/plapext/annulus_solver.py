@@ -9,11 +9,18 @@ traces.  Meshes are geometrically graded in radius (solutions vary on
 power/log scales); 2D polar meshes use one-sided differences in radius and
 forward differences in angle per cell.  The nonlinear solve is a damped
 Newton method: the local Hessian w I + q g g^T of Phi(|g|) per cell is
-SPD, and an Armijo backtracking on J keeps the energy nonincreasing.  The
-1D systems are tridiagonal, solved by LAPACK's gtsv; the 2D ones are
-solved by a banded Cholesky factorization with the interior nodes ordered
-ring by ring and the angles of each ring folded (0, T-1, 1, T-2, ...),
-which keeps the bandwidth at T + 2.
+SPD.  Armijo backtracking tests the decrease of J along a step as the
+integral of the gradient, bounded from above by a two-panel sum (J is
+convex along the line), since a difference of two energies cancels once
+steps are small (Hager & Zhang, SIAM J. Optim. 16 (2005); Nocedal &
+Wright, Numerical Optimization, 2006, section 3.1).  A solve reports
+"converged" exactly when the max norm of its interior gradient is at
+most tol * scale, and otherwise "stagnated" (no descent direction, or no
+acceptable step) or "max_iter".  The 1D systems are tridiagonal, solved
+by LAPACK's gtsv; the 2D ones are solved by a banded Cholesky
+factorization with the interior nodes ordered ring by ring and the
+angles of each ring folded (0, T-1, 1, T-2, ...), which keeps the
+bandwidth at T + 2.
 """
 
 from __future__ import annotations
@@ -258,11 +265,19 @@ def energy_gradient(mesh, spec, values, fvals):
 
 @dataclass
 class EnergyReport:
+    """How a solve stopped: status "converged", "stagnated" or "max_iter"
+    (defined in `solve_dirichlet`), grad_norm the max norm of the interior
+    energy gradient, history the energy of the start and of every accepted
+    iterate, energy the last of them."""
     energy: float
     grad_norm: float
     iterations: int
-    converged: bool
+    status: str
     history: list = field(default_factory=list)
+
+    @property
+    def converged(self):
+        return self.status == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +393,9 @@ def solve_banded(mesh, d, rhs):
     interior nodes.  rhs may be overwritten by the solution.  Raises
     NonConvergenceError if the system is singular.
     """
-    *_, x, info = _GTSV(-d[1:-1], d[:-1] + d[1:], -d[1:-1], rhs,
+    # (one interior node: the wrapper takes no empty off-diagonals)
+    off = d[1:-1] if len(d) > 2 else np.zeros(1)
+    *_, x, info = _GTSV(-off, d[:-1] + d[1:], -off, rhs,
                         True, True, True, True)
     if info > 0:
         raise NonConvergenceError(
@@ -426,6 +443,22 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     keyword because the benchmark's polar2d workload and the `[solver]
     method` key of `solve-annulus` pass it.
 
+    Each iteration backtracks from the full Newton step d, halving down to
+    1e-12, and accepts the first step a with
+    (a/2) (grad J(u + a d/2) + grad J(u + a d)) . d <= 1e-4 a grad J(u) . d.
+    The left side bounds Delta J(a) = J(u + a d) - J(u), the integral of
+    grad J(u + t d) . d over [0, a], from above, because J is convex along
+    the line; so an accepted step lowers J by at least the Armijo share,
+    without a difference of two energies.  (The looser a grad J(u + a d) . d
+    is tried first and spares the midpoint gradient when it passes.)  The
+    report's status:
+    "converged" exactly when grad_norm <= tol * scale, scale being the
+    largest of 1, |f| at the nodes and |traces|, checked at the start and
+    after every accepted step; "stagnated" when, before that, d is not a
+    descent direction or no step down to 1e-12 is accepted; "max_iter"
+    after max_iter accepted steps.  iterations counts the Newton directions
+    taken, the one that stagnated included.
+
     Returns (GridFunction, EnergyReport).  Deterministic for fixed inputs.
     """
     if method != "newton":
@@ -453,35 +486,52 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
                 float(np.max(np.abs(values))))
     energy = J(values)
     history = [energy]
-    converged = False
-    it = 0
-    # the gradient at the current iterate: the convergence test of one
-    # iteration computes it, the direction of the next one reuses it
+    # the gradient at the current iterate: the stopping test reads it, the
+    # direction of the next iteration reuses it
     g = grad_interior(values)
-    for it in range(1, max_iter + 1):
-        d = newton_direction(mesh, spec, values, g)
-        gdot = float(np.sum(g * d))        # negative: descent direction
-        step = 1.0
-        new = values + d
-        e_new = J(new)
-        while e_new > energy + 1e-4 * step * gdot and step > 1e-12:
-            step *= 0.5
-            new = values + step * d
-            e_new = J(new)
-        if e_new > energy:
-            new, e_new = values, energy
-
-        delta = float(np.max(np.abs(new - values)))
-        values, energy = new, e_new
-        history.append(energy)
-        g = grad_interior(values)
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol * scale or delta <= 1e-14 * scale:
-            converged = gnorm <= max(tol * scale, 1e-8 * scale) or delta <= 1e-13 * scale
+    status, it = "max_iter", 0
+    while True:
+        if np.max(np.abs(g)) <= tol * scale:
+            status = "converged"
             break
+        if it == max_iter:
+            break
+        it += 1
+        d = newton_direction(mesh, spec, values, g)
+        gdot = float(np.sum(g * d))
+        if not gdot < 0.0:                 # not a descent direction
+            status = "stagnated"
+            break
+        # Armijo on an upper bound of Delta J(step), the integral of
+        # grad J(u + t d) . d over [0, step]: J is convex along the line, so
+        # the integrand does not decrease and the right-endpoint sum of two
+        # panels bounds it from above.  The one-panel sum, a looser bound,
+        # is tried first, so the midpoint gradient is computed only when it
+        # decides; a halved step ends at the old midpoint, whose gradient is
+        # reused, and the accepted step's end gradient is the next g.
+        step, new = 1.0, values + d
+        g_new = grad_interior(new)
+        while True:
+            share = 1e-4 * step * gdot
+            end = float(np.sum(g_new * d))
+            accepted = step * end <= share
+            if not accepted:
+                mid = values + 0.5 * step * d
+                g_mid = grad_interior(mid)
+                accepted = 0.5 * step * (float(np.sum(g_mid * d)) + end) \
+                    <= share
+            if accepted or step <= 1e-12:
+                break
+            step, new, g_new = 0.5 * step, mid, g_mid
+        if not accepted:                   # (a NaN bound is not accepted)
+            status = "stagnated"
+            break
+        values, g = new, g_new
+        energy = J(values)
+        history.append(energy)
 
     report = EnergyReport(energy=energy, grad_norm=float(np.max(np.abs(g))),
-                          iterations=it, converged=converged, history=history)
+                          iterations=it, status=status, history=history)
     return GridFunction(mesh, values), report
 
 
@@ -516,9 +566,9 @@ def exhaust_exterior(spec, f, inner_boundary_data, R0=2.0, m_max=8,
                                  tol=tol, max_iter=max_iter)
         if not rep.converged:
             raise NonConvergenceError(
-                f"exhaustion level m={m} (R_m={Rm:g}) did not converge: "
-                f"gradient {rep.grad_norm:.3e} after {rep.iterations} "
-                f"iterations")
+                f"exhaustion level m={m} (R_m={Rm:g}) did not converge, "
+                f"status {rep.status}: gradient {rep.grad_norm:.3e} after "
+                f"{rep.iterations} iterations")
         sols.append(u)
         sups.append(float(np.max(u.values)))
         if prev is not None:

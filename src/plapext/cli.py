@@ -308,7 +308,8 @@ def cmd_solve_annulus(cfg, out_dir):
                                 tol=tol, max_iter=max_iter)
     if not report.converged:
         raise NonConvergenceError(
-            f"solver stopped at gradient norm {report.grad_norm:g}")
+            f"solver status {report.status}: gradient norm "
+            f"{report.grad_norm:g} after {report.iterations} iterations")
     if mesh.is_2d:
         rr = np.repeat(mesh.radii, len(mesh.theta))
         tt = np.tile(mesh.theta, len(mesh.radii))

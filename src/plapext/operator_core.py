@@ -153,8 +153,12 @@ def phi_eval(spec, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise DomainError("phi is defined for t >= 0")
-    out = np.where(t_arr > 0, t_arr, 1.0) ** (spec.p - 1.0) * spec.coeff(t_arr)
-    out = np.where(t_arr > 0, out, 0.0)
+    if spec.const_value is not None:     # 0^(p-1) = 0 needs no mask
+        out = t_arr ** (spec.p - 1.0) * spec.const_value
+    else:
+        out = np.where(t_arr > 0, t_arr, 1.0) ** (spec.p - 1.0) \
+            * spec.coeff(t_arr)
+        out = np.where(t_arr > 0, out, 0.0)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -203,26 +207,30 @@ def phi_inverse_array(spec, s):
     target = _INVERSE_TOL * np.maximum(s_it, 1e-300)
     lo, hi = phi_inverse_bracket(spec, s_it)
     t = out
-    for it in range(_INVERSE_MAX_ITER + 1):
-        a = A(t)
-        phi = t ** pm1 * a
-        keep = np.flatnonzero(np.abs(phi - s_it) > target)
-        if keep.size < t.size or not keep.size:    # (or s is empty)
-            out[idx] = t
-            if not keep.size:
-                return out.reshape(s.shape)
-            idx, s_it, target, lo, hi, t, a, phi = (
-                v[keep] for v in (idx, s_it, target, lo, hi, t, a, phi))
-        if it == _INVERSE_MAX_ITER:
-            break
-        above = phi > s_it
-        lo = np.where(above, lo, t)
-        hi = np.where(above, t, hi)
-        # Newton in log t: log(phi/s) has slope (p-1) + t A'/A
-        t = t * np.exp(np.log(s_it / phi) / (pm1 + t * dA(t) / a))
-        outside = ~((t > lo) & (t < hi))
-        if outside.any():
-            t = np.where(outside, np.sqrt(lo * hi), t)
+    # a root below the smallest normal double lets phi(t) reach 0 and the
+    # Newton step overflow; such a step is not finite, so it falls outside
+    # the bracket and the midpoint replaces it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(_INVERSE_MAX_ITER + 1):
+            a = A(t)
+            phi = t ** pm1 * a
+            keep = np.flatnonzero(np.abs(phi - s_it) > target)
+            if keep.size < t.size or not keep.size:    # (or s is empty)
+                out[idx] = t
+                if not keep.size:
+                    return out.reshape(s.shape)
+                idx, s_it, target, lo, hi, t, a, phi = (
+                    v[keep] for v in (idx, s_it, target, lo, hi, t, a, phi))
+            if it == _INVERSE_MAX_ITER:
+                break
+            above = phi > s_it
+            lo = np.where(above, lo, t)
+            hi = np.where(above, t, hi)
+            # Newton in log t: log(phi/s) has slope (p-1) + t A'/A
+            t = t * np.exp(np.log(s_it / phi) / (pm1 + t * dA(t) / a))
+            outside = ~((t > lo) & (t < hi))
+            if outside.any():
+                t = np.where(outside, np.sqrt(lo * hi), t)
     worst = int(np.argmax(np.abs(phi - s_it) / target))
     sw = s_it[worst]
     ends = np.array(phi_inverse_bracket(spec, sw))

@@ -188,6 +188,31 @@ tol = 1e-14
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 3
 
 
+def test_flat_start_stagnation_exits_3(tmp_path, capsys):
+    # zero traces with a source start flat; at p = 4 the first Newton
+    # direction has no acceptable step, and the solve must not pass
+    cfg = write(tmp_path / "a.cfg", """\
+[operator]
+p = 4
+n = 2
+
+[source]
+name = powerdecay:1:1
+
+[geometry]
+R_in = 1
+R_out = 8
+
+[mesh]
+dim = 1
+cells = 48
+""")
+    assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 3
+    err = capsys.readouterr().err
+    assert "solver status stagnated: gradient norm 0.239" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
 def test_unknown_solver_method_gives_config_error(tmp_path):
     cfg = write(tmp_path / "a.cfg", """\
 [operator]

@@ -25,6 +25,12 @@ def test_constant_coefficient_scales_phi():
     spec = make_spec(2.0, 2, "const:2.5")
     assert phi_eval(spec, 4.0) == pytest.approx(10.0)
     assert spec.delta == spec.L_up == 2.5
+    # the constant-A path gives bitwise the general formula, masked at 0
+    t = np.array([0.0, 1e-300, 0.3, 1.0, 7.5])
+    for spec in (make_spec(1.5, 2), make_spec(3.7, 3, "const:2.5")):
+        general = np.where(t > 0, t, 1.0) ** (spec.p - 1.0) * spec.coeff(t)
+        assert np.array_equal(phi_eval(spec, t),
+                              np.where(t > 0, general, 0.0))
 
 
 def test_alpha_exponent():
@@ -66,10 +72,14 @@ def test_inverse_failures_name_their_cause():
                        dA=lambda t: -0.1 * np.exp(-t), delta=1.0, L_up=2.0)
     with pytest.raises(NonConvergenceError, match="window does not bound A"):
         phi_inverse_array(low, np.array([0.3]))
-    # phi^{-1}(s) ~ s^2 at p = 1.5 is below the smallest normal double
-    with np.errstate(all="ignore"), \
-            pytest.raises(NonConvergenceError, match="smallest normal"):
-        phi_inverse_array(make_spec(1.5, 2, "smooth-bump"), np.array([1e-200]))
+    # phi^{-1}(s) ~ s^2 at p = 1.5 is below the smallest normal double; the
+    # iteration meets phi(t) = 0 on the way and must say so without warnings
+    bump = make_spec(1.5, 2, "smooth-bump")
+    for s in (1e-160, 1e-200):
+        with warnings.catch_warnings(), \
+                pytest.raises(NonConvergenceError, match="smallest normal"):
+            warnings.simplefilter("error")
+            phi_inverse_array(bump, np.array([s]))
 
 
 @settings(max_examples=40, deadline=None)
