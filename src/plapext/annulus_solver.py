@@ -267,12 +267,14 @@ def energy_gradient(mesh, spec, values, fvals):
 class EnergyReport:
     """How a solve stopped: status "converged", "stagnated" or "max_iter"
     (defined in `solve_dirichlet`), grad_norm the max norm of the interior
-    energy gradient, history the energy of the start and of every accepted
-    iterate, energy the last of them."""
+    energy gradient, scale the factor of tol in the stopping test, history
+    the energy of the start and of every accepted iterate, energy the last
+    of them."""
     energy: float
     grad_norm: float
     iterations: int
     status: str
+    scale: float
     history: list = field(default_factory=list)
 
     @property
@@ -451,13 +453,13 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     the line; so an accepted step lowers J by at least the Armijo share,
     without a difference of two energies.  (The looser a grad J(u + a d) . d
     is tried first and spares the midpoint gradient when it passes.)  The
-    report's status:
-    "converged" exactly when grad_norm <= tol * scale, scale being the
-    largest of 1, |f| at the nodes and |traces|, checked at the start and
-    after every accepted step; "stagnated" when, before that, d is not a
-    descent direction or no step down to 1e-12 is accepted; "max_iter"
-    after max_iter accepted steps.  iterations counts the Newton directions
-    taken, the one that stagnated included.
+    report's status: "converged" exactly when grad_norm <= tol * scale,
+    with the report's scale the largest of 1, |f| at the nodes and
+    |traces|, checked at the start and after every accepted step;
+    "stagnated" when, before that, d is not a descent direction or no step
+    down to 1e-12 is accepted; "max_iter" after max_iter accepted steps.
+    iterations counts the Newton directions taken, the one that stagnated
+    included.
 
     Returns (GridFunction, EnergyReport).  Deterministic for fixed inputs.
     """
@@ -531,7 +533,8 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
         history.append(energy)
 
     report = EnergyReport(energy=energy, grad_norm=float(np.max(np.abs(g))),
-                          iterations=it, status=status, history=history)
+                          iterations=it, status=status, scale=scale,
+                          history=history)
     return GridFunction(mesh, values), report
 
 

@@ -153,12 +153,8 @@ def phi_eval(spec, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise DomainError("phi is defined for t >= 0")
-    if spec.const_value is not None:     # 0^(p-1) = 0 needs no mask
-        out = t_arr ** (spec.p - 1.0) * spec.const_value
-    else:
-        out = np.where(t_arr > 0, t_arr, 1.0) ** (spec.p - 1.0) \
-            * spec.coeff(t_arr)
-        out = np.where(t_arr > 0, out, 0.0)
+    # p > 1 and A(0) is finite, so t = 0 gives 0 without a mask
+    out = t_arr ** (spec.p - 1.0) * spec.coeff(t_arr)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 

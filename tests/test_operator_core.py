@@ -25,9 +25,14 @@ def test_constant_coefficient_scales_phi():
     spec = make_spec(2.0, 2, "const:2.5")
     assert phi_eval(spec, 4.0) == pytest.approx(10.0)
     assert spec.delta == spec.L_up == 2.5
-    # the constant-A path gives bitwise the general formula, masked at 0
+
+
+def test_phi_is_the_formula_and_zero_at_zero():
+    # bitwise t^(p-1) A(t) for t > 0, and 0 at t = 0, for every catalog kind
     t = np.array([0.0, 1e-300, 0.3, 1.0, 7.5])
-    for spec in (make_spec(1.5, 2), make_spec(3.7, 3, "const:2.5")):
+    for spec in (make_spec(1.5, 2), make_spec(3.7, 3, "const:2.5"),
+                 make_spec(1.5, 2, "smooth-bump"),
+                 make_spec(2.5, 2, "expr:1 + 1/(1 + t)")):
         general = np.where(t > 0, t, 1.0) ** (spec.p - 1.0) * spec.coeff(t)
         assert np.array_equal(phi_eval(spec, t),
                               np.where(t > 0, general, 0.0))

@@ -19,11 +19,10 @@ only read.  Every `solve_dirichlet` call of these sweeps is recorded:
     powerdecay 1:1, inner trace cos(theta), outer 0.
 
 One line per sweep gives the number of solves, the count of each status,
-how many stopped with a gradient above tol*scale (scale as the solver
-takes it: the largest of 1, the source values and the traces), the
-largest ratio of gradient to tol*scale, and the iterations.  An
-`EnergyReport` without `status` counts as "converged" or "not converged".
-A solve that raises `NonConvergenceError` counts as "raised".
+how many stopped with a gradient above tol*scale (the scale of each
+`EnergyReport`), the largest ratio of gradient to tol*scale, and the
+iterations.  A solve that raises `NonConvergenceError` counts as
+"raised".  CHECKOUT's `EnergyReport` must have `status` and `scale`.
 """
 
 from __future__ import annotations
@@ -68,13 +67,8 @@ class Recorder:
         except NonConvergenceError:
             self.rows.append(("raised", np.inf, 0))
             raise
-        fvals = annulus_solver._source_values(f, mesh)
-        scale = max(1.0, float(np.max(np.abs(fvals))),
-                    float(np.max(np.abs(u.values[[0, -1]]))))
-        status = getattr(rep, "status",
-                         "converged" if rep.converged else "not converged")
-        self.rows.append((status,
-                          rep.grad_norm / (kw.get("tol", TOL) * scale),
+        self.rows.append((rep.status,
+                          rep.grad_norm / (kw.get("tol", TOL) * rep.scale),
                           rep.iterations))
         return u, rep
 
