@@ -7,34 +7,40 @@ The discrete problem minimizes the variational energy
 with Phi the antiderivative of phi, over nodal values with fixed Dirichlet
 traces.  Meshes are geometrically graded in radius (solutions vary on
 power/log scales); 2D polar meshes use one-sided differences in radius and
-forward differences in angle per cell.  The nonlinear solve is a damped
-Newton method: the local Hessian w I + q g g^T of Phi(|g|) per cell is
-SPD.  Armijo backtracking tests the decrease of J along a step as the
-integral of the gradient, bounded from above by a two-panel sum (J is
-convex along the line), since a difference of two energies cancels once
-steps are small (Hager & Zhang, SIAM J. Optim. 16 (2005); Nocedal &
-Wright, Numerical Optimization, 2006, section 3.1).  A solve reports
-"converged" exactly when the max norm of its interior gradient is at
-most tol * scale, and otherwise "stagnated" (no descent direction, or no
-acceptable step) or "max_iter".  The 1D systems are tridiagonal, solved
-by LAPACK's gtsv; the 2D ones are solved by a banded Cholesky
-factorization with the interior nodes ordered ring by ring and the
-angles of each ring folded (0, T-1, 1, T-2, ...), which keeps the
-bandwidth at T + 2.
+forward differences in angle per cell.  A solve reports "converged"
+exactly when the max norm of its interior gradient is at most
+tol * scale, and otherwise "stagnated" or "max_iter".
+
+On a radial mesh the discrete problem is solved exactly by flux shooting,
+the discrete twin of the radial formula u' = phi^-1((C - int f s^(n-1))
+/ r^(n-1)): the gradient vanishes where the flux of every cell equals
+C - F_k, F_k the source summed over the nodes up to k, so one increasing
+scalar equation in C, whose bracket is known in closed form, gives every
+slope; `operator_core.bracketed_newton` solves it.
+
+On a polar mesh the solve is a damped Newton method: the local Hessian
+w I + q g g^T of Phi(|g|) per cell is SPD.  Armijo backtracking tests the
+decrease of J along a step as the integral of the gradient, bounded from
+above by a two-panel sum (J is convex along the line), since a difference
+of two energies cancels once steps are small (Hager & Zhang, SIAM J.
+Optim. 16 (2005); Nocedal & Wright, Numerical Optimization, 2006, section
+3.1).  The linear systems are solved by a banded Cholesky factorization
+with the interior nodes ordered ring by ring and the angles of each ring
+folded (0, T-1, 1, T-2, ...), which keeps the bandwidth at T + 2.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
-from .operator_core import (DomainError, NonConvergenceError, phi_eval,
-                            phi_prime, unit_ball_volume)
+from .operator_core import (DomainError, NonConvergenceError,
+                            bracketed_newton, phi_eval, phi_inverse_signed,
+                            phi_prime, phi_signed, unit_ball_volume)
 from .quadrature import gauss_rule
 
 _GRAD_FLOOR = 1e-12
@@ -265,11 +271,11 @@ def energy_gradient(mesh, spec, values, fvals):
 
 @dataclass
 class EnergyReport:
-    """How a solve stopped: status "converged", "stagnated" or "max_iter"
-    (defined in `solve_dirichlet`), grad_norm the max norm of the interior
-    energy gradient, scale the factor of tol in the stopping test, history
-    the energy of the start and of every accepted iterate, energy the last
-    of them."""
+    """How a solve stopped: status "converged", "stagnated" or "max_iter",
+    grad_norm the max norm of the interior energy gradient, scale the
+    factor of tol in the stopping test, energy the energy of the solution
+    and the last entry of history.  `solve_dirichlet` defines the status,
+    and what iterations and history count on each kind of mesh."""
     energy: float
     grad_norm: float
     iterations: int
@@ -387,13 +393,14 @@ class _RingBand:
 def solve_banded(mesh, d, rhs):
     """Solve the tridiagonal interior system of a radial mesh.
 
-    This is the package's own 1D band solve: LAPACK gtsv (Gaussian
-    elimination with partial pivoting), the routine scipy.linalg's
-    solve_banded calls for one band on each side, without its checks and
-    copies.  d holds the conductances of the mesh's M cells: the system
-    has diagonal d[:-1] + d[1:] and off-diagonals -d[1:-1] over the M - 1
-    interior nodes.  rhs may be overwritten by the solution.  Raises
-    NonConvergenceError if the system is singular.
+    No solve of the package calls it since radial meshes are solved by
+    flux shooting; it stays because perfbench's tracer binds its name.
+    LAPACK gtsv (Gaussian elimination with partial pivoting), the routine
+    scipy.linalg's solve_banded calls for one band on each side, without
+    its checks and copies.  d holds the conductances of the mesh's M
+    cells: the system has diagonal d[:-1] + d[1:] and off-diagonals
+    -d[1:-1] over the M - 1 interior nodes.  rhs may be overwritten by the
+    solution.  Raises NonConvergenceError if the system is singular.
     """
     # (one interior node: the wrapper takes no empty off-diagonals)
     off = d[1:-1] if len(d) > 2 else np.zeros(1)
@@ -405,16 +412,6 @@ def solve_banded(mesh, d, rhs):
             f"{mesh.R_out}]: the tridiagonal system is singular (gtsv "
             f"info {info})")
     return x
-
-
-def _newton_direction_1d(mesh, spec, values, grad):
-    g, = _cell_gradients(mesh, values)
-    mag = np.maximum(np.abs(g), _GRAD_FLOOR)
-    # local Hessian conductances
-    d = phi_prime(spec, mag) * mesh.cell_measures() / mesh.dr ** 2
-    step = np.zeros_like(values)
-    step[1:-1] = solve_banded(mesh, d, -grad[1:-1])
-    return step
 
 
 def _newton_direction_2d(mesh, spec, values, grad, band):
@@ -431,35 +428,137 @@ def _newton_direction_2d(mesh, spec, values, grad, band):
     return step
 
 
+def _interior_gradient(mesh, spec, values, fvals):
+    """energy_gradient with the two boundary rows set to 0."""
+    g = energy_gradient(mesh, spec, values, fvals)
+    g[[0, -1]] = 0.0
+    return g
+
+
+def _shoot_flux(mesh, spec, fvals, u_in, u_out, tol, max_iter):
+    """The radial branch of `solve_dirichlet`: flux shooting on C."""
+    dr = mesh.dr
+    ratio = dr / mesh.cell_measures()
+    weights = dr * ratio                       # dr^2 / |cell|
+    # the flux through cell k at a critical point is C - F_k
+    F = np.concatenate(([0.0],
+                        np.cumsum((fvals * mesh.node_measures())[1:-1])))
+    # at C_k, cell k has the mean slope: the root lies between the C_k
+    mean = phi_signed(spec, (u_out - u_in) / (mesh.R_out - mesh.R_in))
+    C_k = F + mean / ratio
+    lo, hi = float(np.min(C_k)), float(np.max(C_k))
+    start = min(max(float(np.sum(weights * C_k) / np.sum(weights)), lo), hi)
+    scale = max(1.0, float(np.max(np.abs(fvals))), abs(u_in), abs(u_out))
+    last = {}
+
+    def flux_sum(C):
+        target = (C - F) * ratio
+        g = phi_inverse_signed(spec, target)
+        # phi'(0) is 0 for p > 2 (an infinite slope) and inf for p < 2 (a
+        # cell without slope)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = phi_prime(spec, np.abs(g))
+            if spec.const_value is None:
+                # one more Newton step on phi(g) = target: the iterative
+                # inverse meets only 1e-12 relative, which a large flux
+                # turns into a gradient above tol
+                fix = (phi_signed(spec, g) - target) / dphi
+                g = g - np.where(np.isfinite(fix), fix, 0.0)
+            # dr_k dg_k/dC, whose sum is the slope of the flux sum
+            terms = weights / dphi
+            slope = float(np.sum(terms))
+            steps = dr * g
+            miss = float(u_in + np.sum(steps) - u_out)
+            # Newton's correction -miss/slope of C, applied to the steps to
+            # first order: each gives up its share terms/slope of the miss,
+            # so every flux moves by the same amount and the gradient only
+            # to second order.  Without a finite positive slope the cell of
+            # the largest term takes the miss.
+            if 0.0 < slope < np.inf:
+                steps -= miss / slope * terms
+            else:
+                steps[np.argmax(terms)] -= miss
+            values = np.cumsum(np.concatenate(([u_in], steps)))
+            values[-1] = u_out
+            last.update(values=values,
+                        correction=abs(miss) / slope if slope else np.inf)
+            return miss, slope
+
+    def done(C, miss):
+        if not last["correction"] <= tol * scale:
+            return False
+        last["grad"] = _interior_gradient(mesh, spec, last["values"], fvals)
+        last["checked"] = last["values"]
+        return np.max(np.abs(last["grad"])) <= tol * scale
+
+    _, evals, status = bracketed_newton(flux_sum, lo, hi, start, done,
+                                        max_iter)
+    values = last["values"]
+    if last.get("checked") is not values:
+        last["grad"] = _interior_gradient(mesh, spec, values, fvals)
+    grad_norm = float(np.max(np.abs(last["grad"])))
+    if grad_norm <= tol * scale:
+        status = "converged"
+    energy = discrete_energy(GridFunction(mesh, values), spec, fvals)
+    report = EnergyReport(energy=energy, grad_norm=grad_norm,
+                          iterations=evals, status=status, scale=scale,
+                          history=[energy])
+    return GridFunction(mesh, values), report
+
+
 def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
                     tol=1e-10, max_iter=400):
     """Discrete energy minimizer with Dirichlet data on both circles.
 
     boundary_data maps "inner" and "outer" to the traces: numbers, or on a
     polar mesh also arrays over the angles or callables of the angle; other
-    data on a radial mesh raises DomainError.  Newton starts from the
-    interpolation of the two traces linear in log r.
+    data on a radial mesh raises DomainError.  `method` accepts "newton"
+    alone and raises DomainError for anything else.  It stays a keyword
+    because the benchmark's polar2d workload and the `[solver] method` key
+    of `solve-annulus` pass it.
 
-    The minimization is damped Newton, the only method: `method` accepts
-    "newton" alone and raises DomainError for anything else.  It stays a
-    keyword because the benchmark's polar2d workload and the `[solver]
-    method` key of `solve-annulus` pass it.
+    The report's status is "converged" exactly when grad_norm, the max norm
+    of the interior energy gradient of the returned values, is at most
+    tol * scale, with the report's scale the largest of 1, |f| at the nodes
+    and |traces|.
 
-    Each iteration backtracks from the full Newton step d, halving down to
-    1e-12, and accepts the first step a with
+    Radial mesh: flux shooting.  The gradient vanishes at interior node k
+    exactly when the flux phi(g_k) |cell_k| / dr_k of every cell k (g_k
+    its slope, phi odd) equals C - F_k, F_k = sum_{i=1..k} f_i |node_i|,
+    for one constant C; the traces then ask sum_k dr_k g_k = u_out - u_in,
+    a sum increasing in C.  With s = phi((u_out - u_in) / (R_out - R_in)),
+    cell k has the mean slope at C_k = F_k + s |cell_k| / dr_k, so the root
+    lies between the smallest and the largest C_k.  `bracketed_newton`
+    solves for C from the mean of the C_k weighted by dr_k^2 / |cell_k|,
+    with the slope sum_k dr_k^2 / (|cell_k| phi'(|g_k|)).  Each evaluation
+    takes the slopes from one phi_inverse_array batch (plus one Newton
+    step on phi(g_k) when A is not constant, as that inverse meets only
+    1e-12 relative).  It applies Newton's next correction of C to the
+    steps dr g to first order, each step giving up the share of the missed
+    outer trace that its slope term has in the sum, which moves every flux
+    by the same amount; the values are u_in plus the cumulative sum of the
+    steps, with u_out pinned.  The stop is decided on the gradient of
+    those values: energy_gradient is computed once the correction of C is
+    within tol * scale.  "stagnated" when the bracket of C collapses,
+    "max_iter" after max_iter evaluations (at least one is made).
+    iterations counts the evaluations of the flux sum, and history holds
+    the one energy of the solution.
+
+    Polar mesh: damped Newton from the interpolation of the two traces
+    linear in log r.  Each iteration backtracks from the full Newton step
+    d, halving down to 1e-12, and accepts the first step a with
     (a/2) (grad J(u + a d/2) + grad J(u + a d)) . d <= 1e-4 a grad J(u) . d.
     The left side bounds Delta J(a) = J(u + a d) - J(u), the integral of
     grad J(u + t d) . d over [0, a], from above, because J is convex along
     the line; so an accepted step lowers J by at least the Armijo share,
     without a difference of two energies.  (The looser a grad J(u + a d) . d
     is tried first and spares the midpoint gradient when it passes.)  The
-    report's status: "converged" exactly when grad_norm <= tol * scale,
-    with the report's scale the largest of 1, |f| at the nodes and
-    |traces|, checked at the start and after every accepted step;
-    "stagnated" when, before that, d is not a descent direction or no step
-    down to 1e-12 is accepted; "max_iter" after max_iter accepted steps.
-    iterations counts the Newton directions taken, the one that stagnated
-    included.
+    gradient is checked at the start and after every accepted step;
+    "stagnated" when, before it meets tol * scale, d is not a descent
+    direction or no step down to 1e-12 is accepted; "max_iter" after
+    max_iter accepted steps.  iterations counts the Newton directions
+    taken, the one that stagnated included, and history holds the energy
+    of the start and of every accepted iterate.
 
     Returns (GridFunction, EnergyReport).  Deterministic for fixed inputs.
     """
@@ -468,6 +567,9 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     fvals = _source_values(f, mesh)
     values = np.zeros(mesh.shape)
     _apply_boundary(mesh, values, boundary_data)
+    if not mesh.is_2d:
+        return _shoot_flux(mesh, spec, fvals, float(values[0]),
+                           float(values[-1]), tol, max_iter)
     t = (np.log(mesh.radii) - np.log(mesh.R_in)) \
         / (np.log(mesh.R_out) - np.log(mesh.R_in))
     values = np.multiply.outer(1 - t, values[0]) \
@@ -477,20 +579,14 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     def J(v):
         return discrete_energy(GridFunction(mesh, v), spec, fvals)
 
-    def grad_interior(v):
-        g = energy_gradient(mesh, spec, v, fvals)
-        g[[0, -1]] = 0.0
-        return g
-
-    newton_direction = partial(_newton_direction_2d, band=_RingBand(mesh)) \
-        if mesh.is_2d else _newton_direction_1d
+    band = _RingBand(mesh)
     scale = max(1.0, float(np.max(np.abs(fvals))),
                 float(np.max(np.abs(values))))
     energy = J(values)
     history = [energy]
     # the gradient at the current iterate: the stopping test reads it, the
     # direction of the next iteration reuses it
-    g = grad_interior(values)
+    g = _interior_gradient(mesh, spec, values, fvals)
     status, it = "max_iter", 0
     while True:
         if np.max(np.abs(g)) <= tol * scale:
@@ -499,7 +595,7 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
         if it == max_iter:
             break
         it += 1
-        d = newton_direction(mesh, spec, values, g)
+        d = _newton_direction_2d(mesh, spec, values, g, band)
         gdot = float(np.sum(g * d))
         if not gdot < 0.0:                 # not a descent direction
             status = "stagnated"
@@ -512,14 +608,14 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
         # decides; a halved step ends at the old midpoint, whose gradient is
         # reused, and the accepted step's end gradient is the next g.
         step, new = 1.0, values + d
-        g_new = grad_interior(new)
+        g_new = _interior_gradient(mesh, spec, new, fvals)
         while True:
             share = 1e-4 * step * gdot
             end = float(np.sum(g_new * d))
             accepted = step * end <= share
             if not accepted:
                 mid = values + 0.5 * step * d
-                g_mid = grad_interior(mid)
+                g_mid = _interior_gradient(mesh, spec, mid, fvals)
                 accepted = 0.5 * step * (float(np.sum(g_mid * d)) + end) \
                     <= share
             if accepted or step <= 1e-12:

@@ -321,6 +321,7 @@ def cmd_solve_annulus(cfg, out_dir):
     summary = write_json(out_dir / "summary.json", _sanitize({
         "energy": report.energy, "grad_norm": report.grad_norm,
         "iterations": report.iterations, "method": method,
+        "status": report.status, "scale": report.scale,
     }))
     return {"solution.csv": table, "summary.json": summary}
 

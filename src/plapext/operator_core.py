@@ -10,6 +10,8 @@ Every coefficient carries its exact derivative A' (`OperatorSpec.dA`), so
 phi'(t) = t^(p-2) ((p-1) A + t A') is exact, and the inverse is a
 safeguarded Newton solve of log phi(t) = log s in log t, which falls back
 to the geometric midpoint of that bracket whenever a step would leave it.
+`bracketed_newton` is the same safeguard for one increasing scalar
+function.
 """
 
 from __future__ import annotations
@@ -241,6 +243,46 @@ def phi_inverse_array(spec, s):
                f"{_INVERSE_MAX_ITER} iterations")
     raise NonConvergenceError(
         f"phi^{{-1}}({sw:.6g}) missed the residual target tol*s: {why}")
+
+
+def bracketed_newton(fun, lo, hi, x, done, max_evals):
+    """Root of an increasing function on [lo, hi], fun(lo) <= 0 <= fun(hi),
+    by Newton safeguarded with bisection (Numerical Recipes' rtsafe).
+
+    fun(x) returns (value, slope), slope > 0 and possibly inf.  The first
+    point is x; after each evaluation done(x, value) decides whether x is
+    accepted, and otherwise the sign of value narrows the bracket.  The next
+    point is the Newton step, unless that step leaves the open bracket or
+    is not at most half the step before it; then it is the bracket's
+    midpoint.  Returns (x, evaluations, status), x the last point
+    evaluated: status "converged" when done accepted x, "stagnated" when no
+    double lies strictly inside the bracket (a value of exactly 0 collapses
+    it), "max_iter" after max_evals evaluations (at least one is made).
+    """
+    step = hi - lo
+    evals = 0
+    while True:
+        value, slope = fun(x)
+        evals += 1
+        if done(x, value):
+            return x, evals, "converged"
+        if evals >= max_evals:
+            return x, evals, "max_iter"
+        if value < 0.0:
+            lo = x
+        elif value > 0.0:
+            hi = x
+        else:
+            lo = hi = x
+        # (slope inf: the step is 0 and stays on the bracket's end; slope
+        # 0: no finite step)
+        newton = value / slope if slope else math.inf
+        nxt = x - newton
+        if not (lo < nxt < hi and 2.0 * abs(newton) <= step):
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return x, evals, "stagnated"
+        step, x = abs(nxt - x), nxt
 
 
 def phi_inverse(spec, s):

@@ -1,6 +1,8 @@
 import dataclasses
+import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +117,95 @@ def test_comparison_principle_on_ordered_boundary_data():
     assert not comparison_check(v, u)
 
 
+@st.composite
+def ordered_radial_problems(draw):
+    """(mesh, spec, lower data, upper data) on a radial mesh of up to 32
+    cells, n = 2 or 3, p in [1.5, 5], plap or smooth-bump; data are
+    (source, inner, outer), with power-decay sources of ordered constants
+    (0: none) and ordered traces."""
+    spec = make_spec(draw(st.floats(1.5, 5.0)), draw(st.sampled_from([2, 3])),
+                     draw(st.sampled_from(["plap", "smooth-bump"])))
+    mesh = radial_mesh(spec.n, 1.0, draw(st.floats(1.5, 4.0)),
+                       draw(st.integers(2, 32)))
+    eps = draw(st.floats(0.5, 1.5))
+
+    def ordered(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=2,
+                             max_size=2).map(sorted))
+
+    sources = [power_decay_source(spec, c, eps) if c else None
+               for c in ordered(0.0, 2.0)]
+    inner, outer = ordered(-2.0, 2.0), ordered(-2.0, 2.0)
+    return mesh, spec, *zip(sources, inner, outer)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=ordered_radial_problems())
+def test_radial_comparison_of_ordered_data(problem):
+    # ordered traces and sources order the discrete solutions node by node
+    mesh, spec, low, high = problem
+    u, v = (solve_dirichlet(mesh, spec, f, {"inner": a, "outer": b})[0]
+            for f, a, b in (low, high))
+    assert comparison_check(u, v)
+
+
+def _flux_shooting_oracle(mesh, p, C_f, eps, u_in, u_out):
+    """C and the nodal values of the radial discrete problem for plap and
+    the source powerdecay C_f:eps, solved in 30-digit arithmetic from the
+    mesh's radii: cell and node measures, the flux equations
+    sum_k dr_k phi^-1((C - F_k) dr_k / |cell_k|) = u_out - u_in, and C by
+    bisection."""
+    with mpmath.workdps(30):
+        r = [mpmath.mpf(x) for x in mesh.radii]
+        n, M = mesh.n, len(r) - 1
+        omega = mpmath.pi ** (n / mpmath.mpf(2)) / mpmath.gamma(n / 2 + 1)
+        dr = [r[k + 1] - r[k] for k in range(M)]
+        cells = [omega * (r[k + 1] ** n - r[k] ** n) for k in range(M)]
+        f = [C_f if x <= 1 else C_f * x ** -(mpmath.mpf(p) + eps) for x in r]
+        F = [mpmath.mpf(0)]
+        for k in range(1, M):
+            F.append(F[-1] + f[k] * (cells[k - 1] + cells[k]) / 2)
+        e = 1 / (mpmath.mpf(p) - 1)
+
+        def slopes(C):
+            t = [(C - F[k]) * dr[k] / cells[k] for k in range(M)]
+            return [mpmath.sign(x) * abs(x) ** e for x in t]
+
+        def miss(C):
+            return mpmath.fsum(d * g for d, g in zip(dr, slopes(C))) \
+                - (u_out - u_in)
+
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        while miss(lo) > 0:
+            lo *= 2
+        while miss(hi) < 0:
+            hi *= 2
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if miss(mid) < 0 else (lo, mid)
+        C = (lo + hi) / 2
+        u = [mpmath.mpf(u_in)]
+        for d, g in zip(dr, slopes(C)):
+            u.append(u[-1] + d * g)
+        return C, u
+
+
+def test_radial_solve_matches_a_30_digit_flux_solve():
+    p, C_f, eps, u_in, u_out = 3.0, 1.5, 1.0, 1.0, -0.5
+    mesh = radial_mesh(2, 1.0, 3.0, 16)
+    spec = make_spec(p, 2)
+    u, rep = solve_dirichlet(mesh, spec, power_decay_source(spec, C_f, eps),
+                             {"inner": u_in, "outer": u_out})
+    C, exact = _flux_shooting_oracle(mesh, p, C_f, eps, u_in, u_out)
+    assert rep.converged
+    # the solution's flux through its first cell is C
+    g0 = (u.values[1] - u.values[0]) / mesh.dr[0]
+    flux = np.sign(g0) * abs(g0) ** (p - 1) * mesh.cell_measures()[0] \
+        / mesh.dr[0]
+    assert abs(flux - float(C)) <= 1e-12 * abs(float(C))
+    assert np.max(np.abs(u.values - np.array(exact, dtype=float))) <= 1e-13
+
+
 @pytest.mark.parametrize("other", ["rotated", "fewer_angles", "radial"])
 def test_comparison_rejects_meshes_with_other_angles(other):
     # same radii throughout; only the angles (or their absence) differ
@@ -159,12 +250,11 @@ def test_radial_mesh_rejects_boundary_data_that_is_not_a_number(p):
 # conductance phi'(1e-12) is tiny at p = 4, so the first direction is far
 # too long and its line search finds no acceptable step: the solve must say
 # it stagnated, not that it converged.
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2])
 def test_flat_start_does_not_report_false_convergence(dim):
     spec = make_spec(4.0, 2)
     f = power_decay_source(spec, 1.0, 1.0)
-    mesh = radial_mesh(2, 1.0, 8.0, 48) if dim == 1 \
-        else polar_mesh(1.0, 4.0, 16, 16)
+    mesh = polar_mesh(1.0, 4.0, 16, 16)
     tol = 1e-10
     u, rep = solve_dirichlet(mesh, spec, f, {"inner": 0.0, "outer": 0.0},
                              tol=tol)
@@ -179,6 +269,43 @@ def test_flat_start_does_not_report_false_convergence(dim):
                                                                 1.0),
                                  {"inner": 0.0, "outer": 0.0}, tol=tol)
     assert rep.status == "stagnated" and np.all(u.values == 0.0)
+
+
+def test_radial_flat_start_converges():
+    # the same flat start on a radial mesh: flux shooting has no start
+    # iterate, so the flat cells cost it nothing
+    mesh = radial_mesh(2, 1.0, 8.0, 48)
+    tol = 1e-10
+    for p in (4.0, 8.0):
+        spec = make_spec(p, 2)
+        u, rep = solve_dirichlet(mesh, spec, power_decay_source(spec, 1.0,
+                                                                1.0),
+                                 {"inner": 0.0, "outer": 0.0}, tol=tol)
+        assert rep.converged and rep.scale == 1.0 and rep.grad_norm <= tol
+        # a positive source lifts the solution above its zero traces
+        assert np.all(u.values[1:-1] > 0.0)
+
+
+@pytest.mark.parametrize("p, C_f, inner, outer", [
+    (4.0, 1.0, 0.0, 0.5),     # the slope changes sign
+    (8.0, 1.0, 0.0, 0.0),     # zero traces
+    (8.0, 0.0, 0.0, 0.0),     # u = 0: phi'(0) = 0 in every cell
+    (1.5, 1.0, 1.0, 1.0),     # equal traces
+    (1.5, 0.0, 1.0, 1.0),     # u = 1: phi'(0) = inf in every cell
+])
+def test_radial_solve_emits_no_warning(p, C_f, inner, outer):
+    spec = make_spec(p, 2)
+    f = power_decay_source(spec, C_f, 1.0) if C_f else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, rep = solve_dirichlet(radial_mesh(2, 1.0, 8.0, 48), spec, f,
+                                 {"inner": inner, "outer": outer})
+    assert rep.converged
+    steps = np.diff(u.values)
+    if C_f == 0.0:
+        assert np.all(steps == 0.0)
+    elif p == 4.0:
+        assert steps.max() > 0.0 > steps.min()
 
 
 def test_exhaustion_iterates_settle():
@@ -308,7 +435,7 @@ def test_tridiagonal_solve_matches_scipy_solve_banded_bitwise(size):
     assert np.array_equal(got, scipy_solve_banded((1, 1), ab, rhs))
 
 
-def test_singular_tridiagonal_system_raises(monkeypatch):
+def test_singular_tridiagonal_system_raises():
     d = np.array([0.0, 0.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0])
     with pytest.raises(NonConvergenceError, match="9-node radial mesh"):
         annulus_solver.solve_banded(radial_mesh(2, 1.0, 2.0, 8), d,
@@ -316,15 +443,22 @@ def test_singular_tridiagonal_system_raises(monkeypatch):
     with pytest.raises(NonConvergenceError, match="3-node radial mesh"):
         annulus_solver.solve_banded(radial_mesh(2, 1.0, 2.0, 2),
                                     np.zeros(2), np.ones(1))
-    # phi' = 0 leaves the 1D Newton system without conductances
+
+
+def test_radial_solve_without_slopes_converges_by_bisection(monkeypatch):
+    # phi' = 0 makes every slope of the flux sum infinite: each Newton step
+    # on C is 0, so every step is the bracket's midpoint
+    spec = make_spec(3.0, 2)
+    mesh = radial_mesh(2, 1.0, 2.0, 12)
+    f = power_decay_source(spec, 1.0, 1.0)
+    data = {"inner": 1.0, "outer": 0.0}
+    u, rep = solve_dirichlet(mesh, spec, f, data)
     monkeypatch.setattr(annulus_solver, "phi_prime",
                         lambda spec, t: np.zeros_like(t))
-    # (with a source, as the start is the discrete solution without one)
-    spec = make_spec(2.0, 2)
-    with pytest.raises(NonConvergenceError, match="13-node radial mesh"):
-        solve_dirichlet(radial_mesh(2, 1.0, 2.0, 12), spec,
-                        power_decay_source(spec, 1.0, 1.0),
-                        {"inner": 1.0, "outer": 0.0})
+    v, bis = solve_dirichlet(mesh, spec, f, data)
+    assert bis.converged and bis.grad_norm <= 1e-10 * bis.scale
+    assert bis.iterations > 2 * rep.iterations
+    assert np.max(np.abs(v.values - u.values)) < 1e-9
 
 
 def _at_radius_one_by_one(u, R):
@@ -397,14 +531,20 @@ def test_cached_geometry_matches_per_call_formulas(mesh):
 @pytest.mark.parametrize("method", ["newton"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_gradient_per_iterate(monkeypatch, method, dim):
-    calls = []
+    calls, energies = [], []
     gradient = annulus_solver.energy_gradient
+    energy = annulus_solver.discrete_energy
 
     def counted(*args):
         calls.append(1)
         return gradient(*args)
 
+    def counted_energy(*args):
+        energies.append(1)
+        return energy(*args)
+
     monkeypatch.setattr(annulus_solver, "energy_gradient", counted)
+    monkeypatch.setattr(annulus_solver, "discrete_energy", counted_energy)
     spec = make_spec(2.5, 2)
     f = power_decay_source(spec, 1.0, 1.0)
     sources = []
@@ -421,13 +561,19 @@ def test_one_gradient_per_iterate(monkeypatch, method, dim):
                              {"inner": inner, "outer": 0.0},
                              method=method, tol=1e-8, max_iter=25)
     assert rep.iterations >= 2 and rep.converged
-    # one at the start, one at each step's end (the next iteration's), and
-    # one at the midpoint of each step whose end gradient alone does not
-    # bound the decrease; this data never backtracks
-    assert rep.iterations + 1 <= len(calls) <= 2 * rep.iterations + 1
-    assert (rep.iterations, len(calls)) == {1: (3, 5), 2: (4, 7)}[dim]
-    assert len(rep.history) == rep.iterations + 1
-    # the line-search energies reuse the solve's source values
+    if dim == 1:
+        # flux shooting: iterations counts flux sums; one gradient and one
+        # energy, both of the solution
+        assert (rep.iterations, len(calls), len(energies)) == (3, 1, 1)
+        assert rep.history == [rep.energy]
+    else:
+        # one at the start, one at each step's end (the next iteration's),
+        # and one at the midpoint of each step whose end gradient alone
+        # does not bound the decrease; this data never backtracks
+        assert rep.iterations + 1 <= len(calls) <= 2 * rep.iterations + 1
+        assert (rep.iterations, len(calls)) == (4, 7)
+        assert len(rep.history) == len(energies) == rep.iterations + 1
+    # the energies reuse the solve's source values
     assert len(sources) == 1
     grad = gradient(mesh, spec, u.values, annulus_solver._source_values(
         f, mesh))
@@ -456,6 +602,17 @@ def test_newton_reaches_tol_at_p_below_2(coeff, domain):
     assert rep.converged and rep.grad_norm <= tol * rep.scale
     # the scale: the largest of 1, |f| <= C_f = 1 and the traces
     assert rep.scale == (1.3 if domain == 2 else 1.0)
+
+
+def test_radial_solve_meets_tol_with_large_smooth_bump_fluxes():
+    # steep data at p = 4.85: the iterative phi^-1 meets only 1e-12
+    # relative, which such fluxes turn into a gradient of 4 tol * scale
+    # unless each slope takes one more Newton step
+    spec = make_spec(4.85, 2, "smooth-bump")
+    u, rep = solve_dirichlet(radial_mesh(2, 1.0, 2.15, 93), spec,
+                             power_decay_source(spec, 2.0, 1.0),
+                             {"inner": 1.7, "outer": -2.0})
+    assert rep.converged and rep.grad_norm <= 1e-10 * rep.scale
 
 
 def _jacobi_Phi(spec, s):
@@ -515,8 +672,13 @@ def test_solve_status_contract(problem):
     assert rep.status in ("converged", "stagnated", "max_iter")
     assert rep.converged == (rep.grad_norm <= tol * rep.scale)
     history = np.array(rep.history)
-    # the start and every accepted iterate; a stagnated iteration adds none
-    assert len(history) == rep.iterations + (rep.status != "stagnated")
+    if mesh.is_2d:
+        # the start and every accepted iterate; a stagnated iteration adds
+        # none
+        assert len(history) == rep.iterations + (rep.status != "stagnated")
+    else:
+        # flux shooting: the one energy of the solution
+        assert len(history) == 1
     assert history[-1] == rep.energy
     rounding = 1e-13 * max(1.0, float(np.max(np.abs(history))))
     assert np.all(np.diff(history) <= rounding)

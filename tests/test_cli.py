@@ -188,10 +188,7 @@ tol = 1e-14
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 3
 
 
-def test_flat_start_stagnation_exits_3(tmp_path, capsys):
-    # zero traces with a source start flat; at p = 4 the first Newton
-    # direction has no acceptable step, and the solve must not pass
-    cfg = write(tmp_path / "a.cfg", """\
+FLAT_START = """\
 [operator]
 p = 4
 n = 2
@@ -201,16 +198,33 @@ name = powerdecay:1:1
 
 [geometry]
 R_in = 1
-R_out = 8
+R_out = {R_out}
 
 [mesh]
-dim = 1
-cells = 48
-""")
+{mesh}
+"""
+
+
+def test_flat_start_stagnation_exits_3(tmp_path, capsys):
+    # zero traces with a source start flat; at p = 4 the first Newton
+    # direction on a polar mesh has no acceptable step, and the solve must
+    # not pass
+    cfg = write(tmp_path / "a.cfg", FLAT_START.format(
+        R_out=4, mesh="dim = 2\nradial = 16\nangular = 16"))
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 3
     err = capsys.readouterr().err
-    assert "solver status stagnated: gradient norm 0.239" in err
+    assert "solver status stagnated: gradient norm 0.026" in err
     assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_radial_flat_start_exits_0(tmp_path):
+    # the same start on a radial mesh: flux shooting solves it
+    cfg = write(tmp_path / "a.cfg", FLAT_START.format(
+        R_out=8, mesh="dim = 1\ncells = 48"))
+    assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "converged" and summary["scale"] == 1.0
+    assert summary["grad_norm"] <= 1e-10
 
 
 def test_unknown_solver_method_gives_config_error(tmp_path):

@@ -1,4 +1,4 @@
-"""How the annulus Newton solves stop: status counts of five sweeps.
+"""How the annulus solves stop: status counts of five sweeps.
 
     python3 tools/stagnation.py [CHECKOUT]
 
@@ -21,7 +21,9 @@ only read.  Every `solve_dirichlet` call of these sweeps is recorded:
 One line per sweep gives the number of solves, the count of each status,
 how many stopped with a gradient above tol*scale (the scale of each
 `EnergyReport`), the largest ratio of gradient to tol*scale, and the
-iterations.  A solve that raises `NonConvergenceError` counts as
+iterations.  On a radial mesh the iterations are the evaluations of the
+flux sum of the shooting on C; on a polar one they are Newton
+directions.  A solve that raises `NonConvergenceError` counts as
 "raised".  CHECKOUT's `EnergyReport` must have `status` and `scale`.
 """
 
