@@ -18,8 +18,12 @@ C - F_k, F_k the source summed over the nodes up to k, so one increasing
 scalar equation in C, whose bracket is known in closed form, gives every
 slope; `operator_core.bracketed_newton` solves it.
 
-On a polar mesh the solve is a damped Newton method: the local Hessian
-w I + q g g^T of Phi(|g|) per cell is SPD.  Armijo backtracking tests the
+On a polar mesh the solve is a damped Newton method from the radial
+solve of the angular means of the traces plus an extension of the rest:
+ring-constant values have the same energy on both meshes, and on uniform
+angles the polar minimizer of radial data is ring-constant, so such a
+solve may take no Newton step.  The local Hessian w I + q g g^T of
+Phi(|g|) per cell is SPD.  Armijo backtracking tests the
 decrease of J along a step as the integral of the gradient, bounded from
 above by a two-panel sum (J is convex along the line), since a difference
 of two energies cancels once steps are small (Hager & Zhang, SIAM J.
@@ -435,8 +439,10 @@ def _interior_gradient(mesh, spec, values, fvals):
     return g
 
 
-def _shoot_flux(mesh, spec, fvals, u_in, u_out, tol, max_iter):
-    """The radial branch of `solve_dirichlet`: flux shooting on C."""
+def _shoot_flux(mesh, spec, fvals, u_in, u_out, gtol, max_iter):
+    """Flux shooting on C on a radial mesh, stopped once the interior
+    gradient is at most gtol.  Returns (values, interior gradient,
+    evaluations of the flux sum, status)."""
     dr = mesh.dr
     ratio = dr / mesh.cell_measures()
     weights = dr * ratio                       # dr^2 / |cell|
@@ -448,7 +454,6 @@ def _shoot_flux(mesh, spec, fvals, u_in, u_out, tol, max_iter):
     C_k = F + mean / ratio
     lo, hi = float(np.min(C_k)), float(np.max(C_k))
     start = min(max(float(np.sum(weights * C_k) / np.sum(weights)), lo), hi)
-    scale = max(1.0, float(np.max(np.abs(fvals))), abs(u_in), abs(u_out))
     last = {}
 
     def flux_sum(C):
@@ -485,25 +490,56 @@ def _shoot_flux(mesh, spec, fvals, u_in, u_out, tol, max_iter):
             return miss, slope
 
     def done(C, miss):
-        if not last["correction"] <= tol * scale:
+        if not last["correction"] <= gtol:
             return False
         last["grad"] = _interior_gradient(mesh, spec, last["values"], fvals)
         last["checked"] = last["values"]
-        return np.max(np.abs(last["grad"])) <= tol * scale
+        return np.max(np.abs(last["grad"])) <= gtol
 
     _, evals, status = bracketed_newton(flux_sum, lo, hi, start, done,
                                         max_iter)
     values = last["values"]
     if last.get("checked") is not values:
         last["grad"] = _interior_gradient(mesh, spec, values, fvals)
-    grad_norm = float(np.max(np.abs(last["grad"])))
-    if grad_norm <= tol * scale:
+    if np.max(np.abs(last["grad"])) <= gtol:
         status = "converged"
-    energy = discrete_energy(GridFunction(mesh, values), spec, fvals)
-    report = EnergyReport(energy=energy, grad_norm=grad_norm,
-                          iterations=evals, status=status, scale=scale,
-                          history=[energy])
-    return GridFunction(mesh, values), report
+    return values, last["grad"], evals, status
+
+
+def _polar_start(mesh, spec, fvals, traces, gtol, max_iter):
+    """Start of the polar Newton solve: the flux-shooting solve of the
+    angular means of the traces, with the radial source profile, on the
+    radial mesh of the same radii, plus an extension of what the traces
+    leave around their means.  traces holds the two traces in its first and
+    last rows; so does the start."""
+    inner, outer = traces[0], traces[-1]
+    dth = mesh._dtheta()
+    weights = dth / (2.0 * np.pi)
+    m_in, m_out = float(inner @ weights), float(outer @ weights)
+    radial, *_ = _shoot_flux(AnnularMesh(n=2, radii=mesh.radii), spec,
+                             fvals[:, 0], m_in, m_out, gtol, max_iter)
+    r = mesh.radii[:, None]
+    if np.ptp(dth) <= 1e-12 * 2.0 * np.pi:
+        # uniform angles: every Fourier mode k >= 1 of a trace decays into
+        # the annulus as the harmonic r^k, r^-k pair that is 1 on its own
+        # circle and 0 on the other (each power at most 1: no overflow)
+        k = np.arange(1, len(dth) // 2 + 1)
+        with np.errstate(under="ignore"):
+            rho = (mesh.R_in / mesh.R_out) ** (2 * k)
+            h_in = (mesh.R_in / r) ** k * (1.0 - (r / mesh.R_out) ** (2 * k))
+            h_out = (r / mesh.R_out) ** k * (1.0 - (mesh.R_in / r) ** (2 * k))
+        modes = np.zeros((len(r), len(k) + 1), dtype=complex)
+        modes[:, 1:] = (h_in * np.fft.rfft(inner)[1:]
+                        + h_out * np.fft.rfft(outer)[1:]) / (1.0 - rho)
+        rest = np.fft.irfft(modes, n=len(dth), axis=1)
+    else:
+        # graded angles: interpolate the rest linearly in log r
+        t = (np.log(r) - np.log(mesh.R_in)) \
+            / (np.log(mesh.R_out) - np.log(mesh.R_in))
+        rest = (1 - t) * (inner - m_in) + t * (outer - m_out)
+    values = radial[:, None] + rest
+    values[[0, -1]] = traces[[0, -1]]
+    return values
 
 
 def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
@@ -544,9 +580,22 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     iterations counts the evaluations of the flux sum, and history holds
     the one energy of the solution.
 
-    Polar mesh: damped Newton from the interpolation of the two traces
-    linear in log r.  Each iteration backtracks from the full Newton step
-    d, halving down to 1e-12, and accepts the first step a with
+    Polar mesh: damped Newton.  The start is the flux-shooting solve above
+    (at the same tol * scale and max_iter, whatever its status) on the
+    radial mesh of the same radii, with the radial source profile and the
+    means of the traces over the angles, weighted by dtheta / 2 pi, plus an
+    extension of the traces less their means.  On uniform angles each
+    Fourier mode k >= 1 of a trace is extended by the p = 2 harmonic
+    factor, (R_in/r)^k (1 - (r/R_out)^2k) / (1 - (R_in/R_out)^2k) from the
+    inner circle and (r/R_out)^k (1 - (R_in/r)^2k) / (1 - (R_in/R_out)^2k)
+    from the outer one; on graded angles the rest is interpolated linearly
+    in log r.  The polar energy of ring-constant values is the radial
+    energy (the cells of a ring add up to its shell, and so do the
+    nodes), and on uniform angles the minimizer of radial data is
+    ring-constant (J is strictly convex and invariant under a rotation by
+    one angle step): the start is then the solution, and iterations is 0.
+    Each iteration backtracks from the full Newton step d, halving down to
+    1e-12, and accepts the first step a with
     (a/2) (grad J(u + a d/2) + grad J(u + a d)) . d <= 1e-4 a grad J(u) . d.
     The left side bounds Delta J(a) = J(u + a d) - J(u), the integral of
     grad J(u + t d) . d over [0, a], from above, because J is convex along
@@ -567,21 +616,24 @@ def solve_dirichlet(mesh, spec, f, boundary_data, method="newton",
     fvals = _source_values(f, mesh)
     values = np.zeros(mesh.shape)
     _apply_boundary(mesh, values, boundary_data)
+    scale = max(1.0, float(np.max(np.abs(fvals))),
+                float(np.max(np.abs(values))))
     if not mesh.is_2d:
-        return _shoot_flux(mesh, spec, fvals, float(values[0]),
-                           float(values[-1]), tol, max_iter)
-    t = (np.log(mesh.radii) - np.log(mesh.R_in)) \
-        / (np.log(mesh.R_out) - np.log(mesh.R_in))
-    values = np.multiply.outer(1 - t, values[0]) \
-        + np.multiply.outer(t, values[-1])
-    _apply_boundary(mesh, values, boundary_data)
+        values, g, evals, status = _shoot_flux(
+            mesh, spec, fvals, float(values[0]), float(values[-1]),
+            tol * scale, max_iter)
+        energy = discrete_energy(GridFunction(mesh, values), spec, fvals)
+        report = EnergyReport(energy=energy,
+                              grad_norm=float(np.max(np.abs(g))),
+                              iterations=evals, status=status, scale=scale,
+                              history=[energy])
+        return GridFunction(mesh, values), report
+    values = _polar_start(mesh, spec, fvals, values, tol * scale, max_iter)
 
     def J(v):
         return discrete_energy(GridFunction(mesh, v), spec, fvals)
 
     band = _RingBand(mesh)
-    scale = max(1.0, float(np.max(np.abs(fvals))),
-                float(np.max(np.abs(values))))
     energy = J(values)
     history = [energy]
     # the gradient at the current iterate: the stopping test reads it, the
@@ -731,7 +783,14 @@ def comparison_check(u, v):
     required).
 
     The caller is responsible for the ordering hypotheses (boundary traces
-    and sources); this routine verifies the nodal conclusion.
+    and sources); this routine verifies the nodal conclusion.  On a radial
+    mesh the discrete solutions of ordered data are ordered.  The polar
+    scheme keeps comparison at p = 2, and at p > 2 only as the mesh is
+    refined: the mixed second derivative of J between the two off-corner
+    nodes of a cell is q g_r g_t |cell| / (dr r dtheta), with q > 0 for
+    p > 2, positive wherever g_r g_t > 0, so J is not submodular there, and
+    on a coarse mesh the solution u of the lower data may exceed the
+    solution v of the upper data at some nodes.
     """
     a, b = u.mesh, v.mesh
     if not (np.array_equal(a.radii, b.radii) and

@@ -247,28 +247,40 @@ def test_radial_mesh_rejects_boundary_data_that_is_not_a_number(p):
 
 
 # A flat start: zero traces and a source.  On a flat cell the Newton
-# conductance phi'(1e-12) is tiny at p = 4, so the first direction is far
-# too long and its line search finds no acceptable step: the solve must say
-# it stagnated, not that it converged.
+# conductance phi'(1e-12) is tiny at p = 4, so a Newton direction there is
+# far too long.  The polar start is the radial solve of these radial data,
+# so no direction is taken; a solve whose direction is not a descent
+# direction must say it stagnated, not that it converged.
 @pytest.mark.parametrize("dim", [2])
-def test_flat_start_does_not_report_false_convergence(dim):
-    spec = make_spec(4.0, 2)
-    f = power_decay_source(spec, 1.0, 1.0)
+def test_flat_start_does_not_report_false_convergence(dim, monkeypatch):
     mesh = polar_mesh(1.0, 4.0, 16, 16)
     tol = 1e-10
-    u, rep = solve_dirichlet(mesh, spec, f, {"inner": 0.0, "outer": 0.0},
+    for p in (4.0, 8.0):
+        spec = make_spec(p, 2)
+        f = power_decay_source(spec, 1.0, 1.0)
+        u, rep = solve_dirichlet(mesh, spec, f, {"inner": 0.0, "outer": 0.0},
+                                 tol=tol)
+        # zero traces and a source of sup C_f = 1: the solver's scale is 1
+        assert rep.converged and rep.iterations == 0
+        assert rep.scale == 1.0 and rep.grad_norm <= tol
+        assert np.all(u.values[1:-1] > 0.0)
+    # an ascent direction from a start that does not meet tol
+    monkeypatch.setattr(annulus_solver, "_newton_direction_2d",
+                        lambda mesh, spec, values, grad, band: grad)
+    u, rep = solve_dirichlet(mesh, spec, f, {"inner": np.cos, "outer": 0.0},
                              tol=tol)
-    # zero traces and a source of sup C_f = 1: the solver's scale is 1
     assert rep.status == "stagnated" and not rep.converged
-    assert rep.scale == 1.0 and rep.grad_norm > tol
-    # at p = 8 the first trial steps overflow: their non-finite bounds are
-    # rejected like any other, and the iterate stays the finite start
-    spec = make_spec(8.0, 2)
+    assert rep.iterations == 1 and rep.grad_norm > tol * rep.scale
+    assert len(rep.history) == 1 and rep.energy == rep.history[0]
+    # a descent direction so long that every trial step overflows: the
+    # non-finite bounds are rejected like any other, and the iterate stays
+    # the finite start
+    monkeypatch.setattr(annulus_solver, "_newton_direction_2d",
+                        lambda mesh, spec, values, grad, band: -1e300 * grad)
     with np.errstate(all="ignore"):
-        u, rep = solve_dirichlet(mesh, spec, power_decay_source(spec, 1.0,
-                                                                1.0),
-                                 {"inner": 0.0, "outer": 0.0}, tol=tol)
-    assert rep.status == "stagnated" and np.all(u.values == 0.0)
+        v, rep = solve_dirichlet(mesh, spec, f, {"inner": np.cos,
+                                                 "outer": 0.0}, tol=tol)
+    assert rep.status == "stagnated" and np.array_equal(v.values, u.values)
 
 
 def test_radial_flat_start_converges():
@@ -284,6 +296,55 @@ def test_radial_flat_start_converges():
         assert rep.converged and rep.scale == 1.0 and rep.grad_norm <= tol
         # a positive source lifts the solution above its zero traces
         assert np.all(u.values[1:-1] > 0.0)
+
+
+# The polar start: the radial solve of the angular means of the traces
+# plus an extension of the rest.  Ring-constant values have the same energy
+# on both meshes, so radial data on uniform angles start at the solution.
+@pytest.mark.parametrize("coeff, p", [("plap", 3.0), ("smooth-bump", 1.8)])
+@pytest.mark.parametrize("C_f", [0.0, 1.0])
+def test_polar_solve_of_radial_data_is_the_radial_solve(coeff, p, C_f):
+    spec = make_spec(p, 2, coeff)
+    f = power_decay_source(spec, C_f, 1.0) if C_f else None
+    data = {"inner": 1.2, "outer": -0.3}
+    u, rep = solve_dirichlet(polar_mesh(1.0, 3.0, 24, 16), spec, f, data)
+    v, _ = solve_dirichlet(radial_mesh(2, 1.0, 3.0, 24), spec, f, data)
+    assert rep.converged and rep.iterations == 0
+    assert len(rep.history) == 1
+    assert np.max(np.abs(u.values - v.values[:, None])) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 1024])
+def test_polar_start_emits_no_warning(T):
+    # every Fourier mode of a random trace, up to k = 512 for T = 1024,
+    # where (R_in / R_out)^2k underflows
+    spec = make_spec(3.0, 2)
+    mesh = polar_mesh(1.0, 4.0, 2 if T == 1024 else 6, T)
+    rng = np.random.default_rng(T)
+    inner, outer = rng.uniform(0.5, 1.5, T), rng.uniform(-0.5, 0.5, T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, rep = solve_dirichlet(mesh, spec, power_decay_source(spec, 1.0,
+                                                                1.0),
+                                 {"inner": inner, "outer": outer})
+    assert rep.converged
+    assert np.array_equal(u.values[0], inner)
+    assert np.array_equal(u.values[-1], outer)
+
+
+def test_polar_start_on_graded_angles():
+    # graded angles keep the log-linear extension of the rest
+    spec = make_spec(3.0, 2)
+    mesh = polar_mesh(1.0, 2.0, 16, 31, inner_layers=3, theta_center=0.3)
+    assert np.ptp(np.diff(mesh.theta)) > 0.0
+    u, rep = solve_dirichlet(mesh, spec, power_decay_source(spec, 1.0, 1.0),
+                             {"inner": np.cos, "outer": 0.0})
+    assert rep.converged and rep.iterations > 0
+    # without a source, radial data are solved by the start here too: a
+    # ring-constant iterate has no angular flux, and each radial flux is
+    # the radial one times the cell's share of its ring
+    u, rep = solve_dirichlet(mesh, spec, None, {"inner": 1.0, "outer": 0.0})
+    assert rep.converged and rep.iterations == 0
 
 
 @pytest.mark.parametrize("p, C_f, inner, outer", [
@@ -411,13 +472,14 @@ def test_band_solve_of_indefinite_system_raises(monkeypatch):
     # phi' = -1 makes the local Hessian w I + q g g^T indefinite
     monkeypatch.setattr(annulus_solver, "phi_prime",
                         lambda spec, t: -np.ones_like(t))
-    spec = make_spec(2.0, 2)
+    spec = make_spec(2.5, 2)
     mesh = polar_mesh(1.0, 2.0, 8, 12)
-    # a source, so that the start (the discrete solution at p = 2 without
-    # one) does not already meet tol and a Newton direction is needed
+    # an angular trace and a source, so that the start (the solution of
+    # radial data) does not already meet tol and a Newton direction is
+    # needed
     with pytest.raises(NonConvergenceError, match="9x12 polar mesh"):
         solve_dirichlet(mesh, spec, power_decay_source(spec, 1.0, 1.0),
-                        {"inner": 1.0, "outer": 0.0})
+                        {"inner": np.cos, "outer": 0.0})
 
 
 @pytest.mark.parametrize("size", [1, 3, 8, 96, 200])
@@ -535,9 +597,9 @@ def test_one_gradient_per_iterate(monkeypatch, method, dim):
     gradient = annulus_solver.energy_gradient
     energy = annulus_solver.discrete_energy
 
-    def counted(*args):
-        calls.append(1)
-        return gradient(*args)
+    def counted(mesh, *args):
+        calls.append(mesh.is_2d)
+        return gradient(mesh, *args)
 
     def counted_energy(*args):
         energies.append(1)
@@ -567,11 +629,14 @@ def test_one_gradient_per_iterate(monkeypatch, method, dim):
         assert (rep.iterations, len(calls), len(energies)) == (3, 1, 1)
         assert rep.history == [rep.energy]
     else:
-        # one at the start, one at each step's end (the next iteration's),
-        # and one at the midpoint of each step whose end gradient alone
-        # does not bound the decrease; this data never backtracks
-        assert rep.iterations + 1 <= len(calls) <= 2 * rep.iterations + 1
-        assert (rep.iterations, len(calls)) == (4, 7)
+        # the start's radial solve checks one radial gradient; then one
+        # polar gradient at the start, one at each step's end (the next
+        # iteration's), and one at the midpoint of each step whose end
+        # gradient alone does not bound the decrease; this data never
+        # backtracks.  No energy of the radial solve is computed.
+        polar = sum(calls)
+        assert rep.iterations + 1 <= polar <= 2 * rep.iterations + 1
+        assert (rep.iterations, len(calls) - polar, polar) == (4, 1, 8)
         assert len(rep.history) == len(energies) == rep.iterations + 1
     # the energies reuse the solve's source values
     assert len(sources) == 1

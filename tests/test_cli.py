@@ -206,24 +206,35 @@ R_out = {R_out}
 
 
 def test_flat_start_stagnation_exits_3(tmp_path, capsys):
-    # zero traces with a source start flat; at p = 4 the first Newton
-    # direction on a polar mesh has no acceptable step, and the solve must
-    # not pass
+    # zero traces with a source start flat; no double of the flux constant
+    # meets tol = 1e-22, so the bracket collapses and the solve must not
+    # pass
     cfg = write(tmp_path / "a.cfg", FLAT_START.format(
-        R_out=4, mesh="dim = 2\nradial = 16\nangular = 16"))
+        R_out=8, mesh="dim = 1\ncells = 48") + "\n[solver]\ntol = 1e-22\n")
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 3
     err = capsys.readouterr().err
-    assert "solver status stagnated: gradient norm 0.026" in err
+    assert "solver status stagnated: gradient norm" in err
     assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def test_radial_flat_start_exits_0(tmp_path):
-    # the same start on a radial mesh: flux shooting solves it
+    # the same start at the default tol: flux shooting solves it
     cfg = write(tmp_path / "a.cfg", FLAT_START.format(
         R_out=8, mesh="dim = 1\ncells = 48"))
     assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["status"] == "converged" and summary["scale"] == 1.0
+    assert summary["grad_norm"] <= 1e-10
+
+
+def test_polar_flat_start_exits_0(tmp_path):
+    # solve-annulus takes constant traces only, so a polar solve starts
+    # from its radial solution and takes no Newton step
+    cfg = write(tmp_path / "a.cfg", FLAT_START.format(
+        R_out=4, mesh="dim = 2\nradial = 16\nangular = 16"))
+    assert cli.run("solve-annulus", cfg, tmp_path / "o", quiet=True) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "converged" and summary["iterations"] == 0
     assert summary["grad_norm"] <= 1e-10
 
 

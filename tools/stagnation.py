@@ -1,4 +1,4 @@
-"""How the annulus solves stop: status counts of five sweeps.
+"""How the annulus solves stop: status counts of six sweeps.
 
     python3 tools/stagnation.py [CHECKOUT]
 
@@ -14,17 +14,25 @@ only read.  Every `solve_dirichlet` call of these sweeps is recorded:
     and smooth-bump, p = 1.4, 1.6 and 1.8, 32x32 and 64x64 cells, inner
     trace cos(theta) or 1 + 0.3 cos(theta), outer 0, tol 1e-10;
   * flat start: zero traces with powerdecay 1:1 at p = 4, on
-    radial_mesh(2, 1, 8, 48) and polar_mesh(1, 4, 16, 16);
+    radial_mesh(2, 1, 8, 48) and polar_mesh(1, 4, 16, 16).  Both are
+    radial data, so flux shooting solves the first and, as the start of
+    the Newton solve, the second, which then takes no Newton direction;
   * bump p=1.5: smooth-bump at p = 1.5, polar_mesh(1, 4, 32, 32),
-    powerdecay 1:1, inner trace cos(theta), outer 0.
+    powerdecay 1:1, inner trace cos(theta), outer 0;
+  * large p: plap at p = 4, 6 and 8 on polar_mesh(1, 4, 16, 16), inner
+    trace a cos(theta) with a = 1e-3, 1e-2, 1e-1 and 1, outer 0, with
+    powerdecay 1:1 and without a source.  A polar solve starts from the
+    radial solve of the mean data plus the p = 2 harmonic extension of
+    the rest, whose decay is not that of large p.
 
 One line per sweep gives the number of solves, the count of each status,
 how many stopped with a gradient above tol*scale (the scale of each
 `EnergyReport`), the largest ratio of gradient to tol*scale, and the
 iterations.  On a radial mesh the iterations are the evaluations of the
 flux sum of the shooting on C; on a polar one they are Newton
-directions.  A solve that raises `NonConvergenceError` counts as
-"raised".  CHECKOUT's `EnergyReport` must have `status` and `scale`.
+directions (the flux sums of its start are not counted).  A solve that
+raises `NonConvergenceError` counts as "raised".  CHECKOUT's
+`EnergyReport` must have `status` and `scale`.
 """
 
 from __future__ import annotations
@@ -109,6 +117,15 @@ def bump():
            power_decay_source(spec, 1.0, 1.0), np.cos)
 
 
+def large_p():
+    mesh = polar_mesh(1.0, 4.0, 16, 16)
+    for p in (4.0, 6.0, 8.0):
+        spec = make_spec(p, 2)
+        for f in (None, power_decay_source(spec, 1.0, 1.0)):
+            for a in (1e-3, 1e-2, 1e-1, 1.0):
+                yield mesh, spec, f, lambda th, a=a: a * np.cos(th)
+
+
 def solve_each(rec, solves):
     for mesh, spec, f, inner in solves:
         try:
@@ -139,6 +156,7 @@ def main():
             ("p<2", lambda: solve_each(rec, p_below_2()), None),
             ("flat start", lambda: solve_each(rec, flat_start()), None),
             ("bump p=1.5", lambda: solve_each(rec, bump()), None),
+            ("large p", lambda: solve_each(rec, large_p()), None),
         ]
         for name, sweep, tol in sweeps:
             rec.tol, rec.rows = tol, []
