@@ -1,6 +1,5 @@
 import dataclasses
 import warnings
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import solve_banded as scipy_solve_banded
-from scipy.special import roots_jacobi
 from scipy.sparse.linalg import spsolve as sparse_spsolve
 
 from plapext import annulus_solver
@@ -142,11 +140,30 @@ def ordered_radial_problems(draw):
 @settings(max_examples=40, deadline=None)
 @given(problem=ordered_radial_problems())
 def test_radial_comparison_of_ordered_data(problem):
-    # ordered traces and sources order the discrete solutions node by node
+    # ordered traces and sources order the discrete solutions node by node:
+    # the flux constant C increases with the data, and so does every slope
+    # phi^-1((C - F_k) dr_k / |cell_k|), so u <= v up to rounding
     mesh, spec, low, high = problem
-    u, v = (solve_dirichlet(mesh, spec, f, {"inner": a, "outer": b})[0]
-            for f, a, b in (low, high))
+    (u, ru), (v, rv) = (solve_dirichlet(mesh, spec, f,
+                                        {"inner": a, "outer": b})
+                        for f, a, b in (low, high))
+    scale = max(ru.scale, rv.scale)
+    assert np.all(u.values <= v.values + 1e-12 * scale)
     assert comparison_check(u, v)
+
+
+def test_radial_solve_of_data_below_the_normal_range_converges():
+    # at p = 1.5 the slope phi^-1(s) ~ s^2 of such data lies below the
+    # smallest normal double, where phi_inverse_array raises; those cells
+    # are flat
+    spec = make_spec(1.5, 2, "smooth-bump")
+    mesh = radial_mesh(2, 1.0, 2.0, 2)
+    for f, inner in ((None, 2.2250738585e-313), (None, 1e-160),
+                     (power_decay_source(spec, 1e-160, 1.0), 0.0)):
+        u, rep = solve_dirichlet(mesh, spec, f, {"inner": inner,
+                                                 "outer": 0.0})
+        assert rep.converged
+        assert u.values[0] == inner and 0.0 <= u.values[1] <= 1e-160
 
 
 def _flux_shooting_oracle(mesh, p, C_f, eps, u_in, u_out):
@@ -266,7 +283,7 @@ def test_flat_start_does_not_report_false_convergence(dim, monkeypatch):
         assert np.all(u.values[1:-1] > 0.0)
     # an ascent direction from a start that does not meet tol
     monkeypatch.setattr(annulus_solver, "_newton_direction_2d",
-                        lambda mesh, spec, values, grad, band: grad)
+                        lambda mesh, spec, terms, grad, band: grad)
     u, rep = solve_dirichlet(mesh, spec, f, {"inner": np.cos, "outer": 0.0},
                              tol=tol)
     assert rep.status == "stagnated" and not rep.converged
@@ -276,7 +293,7 @@ def test_flat_start_does_not_report_false_convergence(dim, monkeypatch):
     # non-finite bounds are rejected like any other, and the iterate stays
     # the finite start
     monkeypatch.setattr(annulus_solver, "_newton_direction_2d",
-                        lambda mesh, spec, values, grad, band: -1e300 * grad)
+                        lambda mesh, spec, terms, grad, band: -1e300 * grad)
     with np.errstate(all="ignore"):
         v, rep = solve_dirichlet(mesh, spec, f, {"inner": np.cos,
                                                  "outer": 0.0}, tol=tol)
@@ -458,11 +475,11 @@ def test_band_newton_direction_matches_sparse_reference(mesh):
     values = rng.standard_normal((len(mesh.radii), len(mesh.theta)))
     fvals = annulus_solver._source_values(
         power_decay_source(spec, 1.0, 1.0), mesh)
-    grad = annulus_solver.energy_gradient(mesh, spec, values, fvals)
+    grad, terms = annulus_solver.energy_gradient(mesh, spec, values, fvals)
     grad[[0, -1]] = 0.0
     band = annulus_solver._RingBand(mesh)
     assert band.kd <= len(mesh.theta) + 2
-    step = annulus_solver._newton_direction_2d(mesh, spec, values, grad, band)
+    step = annulus_solver._newton_direction_2d(mesh, spec, terms, grad, band)
     ref = _reference_newton_direction(mesh, spec, values, grad)
     assert np.all(step[[0, -1]] == 0.0)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -555,13 +572,42 @@ def test_at_radius_of_an_array_matches_the_scalar_loop(mesh):
             u.at_radius(np.array([r[0], outside, r[-1]]))
 
 
-def test_energy_density_uses_the_24_point_rule():
-    spec = make_spec(2.5, 2, "smooth-bump")
+@pytest.mark.parametrize("p", [1.5, 1.8, 2.5, 3.0, 4.0, 6.0])
+def test_energy_density_matches_mpmath(p):
+    # Phi(s) = int_0^s t^(p-1) A(t) dt for smooth-bump in 30 digits, split
+    # at the bump's centre t = 1
+    spec = make_spec(p, 2, "smooth-bump")
+    s = np.array([0.01, 0.5, 1.0, 2.0, 3.0, 6.0])
+    got = annulus_solver._Phi(spec, s)
+    with mpmath.workdps(30):
+        pm = mpmath.mpf(p)
+
+        def density(t):
+            return t ** (pm - 1) * (1 + mpmath.exp(-(t - 1) ** 2) / 4)
+
+        for x, value in zip(s, got):
+            x = mpmath.mpf(float(x))
+            ref = mpmath.quad(density, [0, x] if x <= 1 else [0, 1, x])
+            assert abs(value - ref) <= 4e-15 * ref
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 1.8, 2.5, 3.0, 4.0, 6.0, 20.0])
+def test_energy_density_rule_integrates_the_moments(p):
+    # the 24-point rule for the weight y^(p-1) on [0, 1] is exact for
+    # degree 47: sum_j w_j y_j^k = 1/(p + k), up to rounding of y_j^k
+    y, w = annulus_solver._jacobi_rule(p)
+    assert len(y) == 24 and np.all((0.0 < y) & (y < 1.0)) and np.all(w > 0)
+    assert annulus_solver._jacobi_rule(p)[0] is y
+    for k in range(48):
+        assert abs(np.sum(w * y ** k) * (p + k) - 1.0) <= 4e-15 * (k + 1)
+
+
+def test_energy_density_of_a_constant_coefficient_is_closed_form():
     s = np.geomspace(1e-3, 10.0, 50)
-    x, w = np.polynomial.legendre.leggauss(24)
-    nodes = 0.5 * s[:, None] * (x + 1.0)
-    ref = 0.5 * s * (annulus_solver.phi_eval(spec, nodes) @ w)
-    assert np.array_equal(annulus_solver._Phi(spec, s), ref)
+    for name, c in (("plap", 1.0), ("const:2.5", 2.5)):
+        spec = make_spec(3.7, 2, name)
+        assert np.array_equal(annulus_solver._Phi(spec, s),
+                              c * s ** 3.7 / 3.7)
 
 
 @pytest.mark.parametrize("mesh", BAND_MESHES, ids=BAND_MESH_IDS)
@@ -640,7 +686,7 @@ def test_one_gradient_per_iterate(monkeypatch, method, dim):
         assert len(rep.history) == len(energies) == rep.iterations + 1
     # the energies reuse the solve's source values
     assert len(sources) == 1
-    grad = gradient(mesh, spec, u.values, annulus_solver._source_values(
+    grad, _ = gradient(mesh, spec, u.values, annulus_solver._source_values(
         f, mesh))
     assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))
 
@@ -680,16 +726,6 @@ def test_radial_solve_meets_tol_with_large_smooth_bump_fluxes():
     assert rep.converged and rep.grad_norm <= 1e-10 * rep.scale
 
 
-def _jacobi_Phi(spec, s):
-    """Phi(s) = (s/2)^p int_{-1}^{1} (1 + x)^(p-1) A(s (1 + x)/2) dx by
-    80-point Gauss-Jacobi: within 1e-15 of 30-digit mpmath for smooth-bump
-    up to s = 20, where the solver's 24-point Legendre rule is up to 2e-5
-    off at p = 1.5 (the t^(p-1) endpoint)."""
-    s = np.asarray(s, dtype=float)
-    x, w = roots_jacobi(80, 0.0, spec.p - 1.0)
-    return (0.5 * s) ** spec.p * (spec.A(0.5 * s[..., None] * (1.0 + x)) @ w)
-
-
 @st.composite
 def dirichlet_problems(draw):
     """(mesh, spec, f, inner, outer): radial meshes of up to 32 cells, polar
@@ -727,13 +763,11 @@ _BUMP = make_spec(1.5, 2, "smooth-bump")
 def test_solve_status_contract(problem):
     mesh, spec, f, inner, outer = problem
     tol = 1e-10
-    # the history is recomputed with an accurate Phi: the solver's own
-    # 24-point rule lets a smooth-bump history rise by its quadrature
-    # error, up to 2e-11 relative at p near 1.5; the iterates are the same,
-    # since no decision of the solve reads the energy
-    with mock.patch.object(annulus_solver, "_Phi", _jacobi_Phi):
-        u, rep = solve_dirichlet(mesh, spec, f,
-                                 {"inner": inner, "outer": outer}, tol=tol)
+    # the history is the solver's own: its Phi is exact for plap and
+    # within rounding for smooth-bump, so every accepted step, which lowers
+    # the exact energy, lowers the reported one up to rounding
+    u, rep = solve_dirichlet(mesh, spec, f, {"inner": inner, "outer": outer},
+                             tol=tol)
     assert rep.status in ("converged", "stagnated", "max_iter")
     assert rep.converged == (rep.grad_norm <= tol * rep.scale)
     history = np.array(rep.history)

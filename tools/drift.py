@@ -10,12 +10,14 @@ values were compared, how many differ, and the largest relative change
 values.  The fields are every field of each JSON artifact of the exterior
 cases except `manifest.json` (which holds checksums), every column of
 their CSV artifacts, the Talenti bound and full-profile values, and of
-each polar2d solve the solution `u`, `energy`, `grad_norm` and
-`iterations`.  A polar2d solution counts as one value per case, whose
+each polar2d solve the solution `u`, `energy`, `grad_norm`, `iterations`
+and `history`.  A polar2d solution counts as one value per case, whose
 relative change is max |new - old| / max(max |old|, max |new|) over the
-nodes.  A field's values are pooled over all seeds and cases of one
-workload and subcommand; booleans count as 0 and 1, and other non-numbers
-as changed when unequal.  `tools/fingerprint.py` tells whether two checkouts agree
+nodes; so does a history, whose relative change is the largest relative
+change of its entries, and infinite when its length changed.  A field's
+values are pooled over all seeds and cases of one workload and
+subcommand; booleans count as 0 and 1, and other non-numbers as changed
+when unequal.  `tools/fingerprint.py` tells whether two checkouts agree
 bitwise; this tool tells by how much they differ.
 """
 
@@ -37,7 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SEEDS = (1, 2, 3)
 WORKLOADS = ("polar2d", "exterior", "talenti")
-POLAR2D_FIELDS = ("energy", "grad_norm", "iterations")
+POLAR2D_FIELDS = ("energy", "grad_norm", "iterations", "history")
 
 
 def _flatten(obj, key, out):
@@ -89,8 +91,10 @@ def collect(checkout):
                     if name == "polar2d":
                         records[("polar2d u", where)] = [out["u"]]
                         for field in POLAR2D_FIELDS:
+                            value = getattr(out["report"], field)
                             records[(f"polar2d {field}", where)] = \
-                                [getattr(out["report"], field)]
+                                [tuple(value) if field == "history"
+                                 else value]
                         continue
                     if name == "talenti":
                         records[("talenti bound", where)] = [out["bound"]]
@@ -110,8 +114,13 @@ def _in_fresh_process(checkout):
 
 
 def _change(old, new):
-    """Relative change of one value, of an array in the max norm; inf for
+    """Relative change of one value, of an array in the max norm, of a
+    tuple the largest over its entries (inf for another length); inf for
     unequal non-numbers."""
+    if isinstance(old, tuple):
+        if len(old) != len(new):
+            return math.inf
+        return max(map(_change, old, new), default=0.0)
     if isinstance(old, np.ndarray):
         scale = max(np.max(np.abs(old)), np.max(np.abs(new)))
         return float(np.max(np.abs(new - old)) / scale) if scale else 0.0
@@ -151,7 +160,7 @@ def main(argv):
         line = f"{group}: {changed}/{count} changed"
         if changed:
             line += f", max rel {worst:.3g} at {where}"
-            if not isinstance(x, np.ndarray):
+            if not isinstance(x, (np.ndarray, tuple)):
                 line += f": {x!r} -> {y!r}"
         print(line)
     for group, where in mismatched:
