@@ -306,19 +306,25 @@ def energy_gradient(mesh, spec, values, fvals):
     outside).  terms are the cell quantities it is built from, which the
     Newton direction of the same values reuses: the cell gradients (a tuple
     of the radial and, on a polar mesh, the angular differences), |g|
-    floored at _GRAD_FLOOR and w = phi(|g|)/|g|.
+    floored at _GRAD_FLOOR and w = phi(|g|)/|g| at the floored |g|.  The
+    fluxes take the exact phi(|g|)/|g| in the cells below the floor.
     """
     cells = mesh.cell_measures()
     grads = _cell_gradients(mesh, values)
     mag = np.sqrt(sum(g ** 2 for g in grads))
     mag_f = np.maximum(mag, _GRAD_FLOOR)
     w = phi_eval(spec, mag_f) / mag_f          # phi(|g|)/|g|, floored
+    w_flux = w
+    tiny = (mag > 0) & (mag < _GRAD_FLOOR)
+    if np.any(tiny):
+        w_flux = w.copy()
+        w_flux[tiny] = phi_eval(spec, mag[tiny]) / mag[tiny]
     grad = -fvals * mesh.node_measures()
-    flux_r = w * grads[0] * cells / mesh.cell_dr
+    flux_r = w_flux * grads[0] * cells / mesh.cell_dr
     grad[:-1] -= flux_r
     grad[1:] += flux_r
     if mesh.is_2d:
-        flux_t = w * grads[1] * cells / mesh.rdtheta
+        flux_t = w_flux * grads[1] * cells / mesh.rdtheta
         grad[:-1] -= flux_t
         grad[:-1] += flux_t[:, mesh.theta_prev]
     return grad, (grads, mag_f, w)

@@ -171,11 +171,6 @@ class OscPrediction:
     C: float         # contraction factor 1 - c
     K: float         # additive constant from the source tail
 
-    @property
-    def beta_pred(self):
-        """Dyadic decay exponent implied by the contraction factor."""
-        return -math.log2(self.C) if 0 < self.C < 1 else math.inf
-
 
 def osc_prediction(spec, f):
     """Constants of the dyadic recurrence

@@ -25,8 +25,7 @@ from .operator_core import (DomainError, NonConvergenceError,
 from .quadrature import (cumulative_integral, gauss_rule, integrate,
                          tail_panel_sums)
 
-# doubling panels of the u' tail evaluated per phi^{-1} call
-_TAIL_PANELS_PER_CALL = 16
+_TAIL_PANELS_PER_CALL = 16   # u' tail panels per phi^{-1} call
 _MATCH_TOL = 1e-10     # relative error of a shooting solution's outer value
 
 
@@ -38,14 +37,6 @@ def _panel_sums(g, lo, hi):
     half = 0.5 * (hi - lo)
     nodes = mid[..., None] + half[..., None] * x
     return half * (g(nodes.ravel()).reshape(nodes.shape) @ w)
-
-
-def _cumulative_spline(g, edges):
-    """Antiderivative of g on a grid, as a C^1 spline with exact slopes."""
-    edges = np.asarray(edges, dtype=float)
-    panel = _panel_sums(g, edges[:-1], edges[1:])
-    F = np.concatenate(([0.0], np.cumsum(panel)))
-    return CubicHermiteSpline(edges, F, g(edges))
 
 
 @dataclass
@@ -93,8 +84,12 @@ class RadialProfile:
 
 @dataclass(kw_only=True)
 class RadialSolution(RadialProfile):
-    f: object
-    far_edge: float | None = None  # exterior: end of the source tail sweep
+    # exterior: the doubling edges far 2^k of the source tail sweep
+    tail_edges: np.ndarray | None = None
+
+    @property
+    def far_edge(self):
+        return None if self.tail_edges is None else float(self.tail_edges[0])
 
 
 def _source_density(f, n):
@@ -115,8 +110,10 @@ def solve_radial_bvp(spec, f, R_in, R_out, u_in, u_out):
         raise DomainError("need 0 < R_in < R_out")
     n = spec.n
     g = _source_density(f, n)
+    # the source integral F as a C^1 spline with exact slopes
     edges = np.geomspace(R_in, R_out, 1025)
-    F = _cumulative_spline(g, edges)
+    F = CubicHermiteSpline(edges, np.append(0.0, np.cumsum(
+        _panel_sums(g, edges[:-1], edges[1:]))), g(edges))
 
     def outer_value(C):
         u_prime = lambda r: phi_inverse_signed(
@@ -143,7 +140,7 @@ def solve_radial_bvp(spec, f, R_in, R_out, u_in, u_out):
 
     C = brentq(lambda c: outer_value(c) - u_out, lo, hi,
                xtol=1e-14 * scale, rtol=8.9e-16)
-    sol = RadialSolution(spec=spec, f=f, R_in=R_in, R_out=R_out, u_in=u_in,
+    sol = RadialSolution(spec=spec, R_in=R_in, R_out=R_out, u_in=u_in,
                          C_flux=float(C), flux_num=lambda r: C - F(r))
     if abs(sol.value(R_out) - u_out) > _MATCH_TOL * max(1.0, abs(u_out)):
         raise NonConvergenceError("shooting failed to match the outer value")
@@ -154,85 +151,87 @@ def solve_exterior_radial(spec, f, u_in, R_in=1.0):
     """The bounded radial solution on [R_in, inf).
 
     Boundedness forces the flux constant to equal the full improper
-    integral of f s^(n-1); then C - F(r) is the tail integral of the
-    source beyond r, and u' is absolutely integrable at infinity.
+    integral of f s^(n-1); then flux_num(r) = C - F(r) is the source tail
+    T(r) beyond r, and u' is absolutely integrable at infinity.  T is a
+    4097-knot spline up to the far edge of `tail_panel_sums`; beyond it,
+    the sum over the doubling panels `tail_edges` past r's panel plus an
+    8-point remainder.  The panels end at the last edge with a nonzero
+    density and r^(n-1) <= 1e290; T is 0 past it.
     """
     if not R_in > 0:
         raise DomainError("need R_in > 0")
     n = spec.n
     g = _source_density(f, n)
-    edges, sums = tail_panel_sums(g, R_in)
-    far = float(edges[-1])
-    # tail integral T(r) accumulated right-to-left (small terms first), so
-    # its relative accuracy is uniform down to the far edge — no
-    # cancellation against the full integral.  The source tail left over
-    # beyond the far edge is tiny in absolute terms, but it sets the scale
-    # of T near the edge, where phi^{-1} is most sensitive.
-    beyond_edges = far * 2.0 ** np.arange(201)
-    beyond_edges = beyond_edges[np.isfinite(beyond_edges)]
-    beyond = float(np.sum(
-        _panel_sums(g, beyond_edges[:-1], beyond_edges[1:])[::-1]))
-
+    far = float(tail_panel_sums(g, R_in)[0][-1])
+    edges = far * 2.0 ** np.arange(
+        1 + max(0, int(np.log2(1e290) / (n - 1.0) - np.log2(far))))
+    edges = edges[:1 + max(np.flatnonzero(g(edges)), default=0)]
+    # tails summed small-first: no cancellation against the full integral
+    T_edges = np.append(np.cumsum(
+        _panel_sums(g, edges[:-1], edges[1:])[::-1])[::-1], 0.0)
     dense = np.geomspace(R_in, far, 4097)
     panel = _panel_sums(g, dense[:-1], dense[1:])
-    tails = beyond + np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
+    tails = T_edges[0] + np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
     T = CubicHermiteSpline(dense, tails, -g(dense))
-    total = float(tails[0])
 
-    return RadialSolution(spec=spec, f=f, R_in=R_in, R_out=np.inf,
-                          u_in=u_in, C_flux=total,
-                          flux_num=lambda r: T(np.minimum(r, far)),
-                          far_edge=far)
+    def flux_num(r):
+        r = np.asarray(r, dtype=float)
+        inner = r <= far
+        if inner.all():
+            return T(r)
+        out = np.zeros(r.shape)
+        out[inner] = T(r[inner])
+        beyond = ~inner & (r <= edges[-1])
+        k = np.searchsorted(edges, r[beyond])  # edges[k-1] < r <= edges[k]
+        out[beyond] = T_edges[k] + _panel_sums(g, r[beyond], edges[k])
+        return out
+
+    return RadialSolution(spec=spec, R_in=R_in, R_out=np.inf, u_in=u_in,
+                          C_flux=float(tails[0]), flux_num=flux_num,
+                          tail_edges=edges)
 
 
-def _uprime_tail(spec, g, far, n, rel_tol=1e-12, max_panels=400):
-    """Integral of u' = phi^{-1}(T(r)/r^{n-1}) over [far, inf).
-
-    The source tail T is rebuilt locally on each doubling panel (summed
-    small-to-large), because u' decays much more slowly than the source
-    density g and remains significant long after g has settled.  The
-    panels are evaluated `_TAIL_PANELS_PER_CALL` at a time and added in
-    order, stopping after three panels below rel_tol of the sum.
-    """
-    edges = far * 2.0 ** np.arange(max_panels + 1)
-    edges = edges[np.isfinite(edges)]
-    lo, hi = edges[:-1], edges[1:]
-    panel_g = _panel_sums(g, lo, hi)
-    T_edges = np.concatenate((np.cumsum(panel_g[::-1])[::-1], [0.0]))
-
-    total = 0.0
-    quiet = 0
+def _uprime_tail(sol, scale):
+    """Integral of u' over [far, inf): 16-point Gauss sums on the panels
+    of `sol.tail_edges`, added in order until three in a row are each
+    below 1e-12 of the sum.  If the panels, which end where the source
+    tail does, run out first, the last three must each be below 1e-12 of
+    max(|sum|, scale), or NonConvergenceError is raised."""
+    lo, hi = sol.tail_edges[:-1], sol.tail_edges[1:]
+    total, quiet, near = 0.0, 0, 0
     x16, w16 = gauss_rule(16)
     for start in range(0, len(lo), _TAIL_PANELS_PER_CALL):
         blk = slice(start, start + _TAIL_PANELS_PER_CALL)
         a, b = lo[blk, None], hi[blk, None]
-        pts = 0.5 * (a + b) + 0.5 * (b - a) * x16
-        # source tail at each node: T(edge right) plus the in-panel
-        # remainder over [node, b], each by one 8-point rule
-        rem = _panel_sums(g, pts, b)
-        T_nodes = T_edges[start + 1:start + 1 + len(pts), None] + rem
-        up = phi_inverse_signed(spec, T_nodes / pts ** (n - 1.0))
+        up = sol.u_prime(0.5 * (a + b) + 0.5 * (b - a) * x16)
         for contrib in 0.5 * (hi[blk] - lo[blk]) * (up @ w16):
             total += float(contrib)
-            small = abs(contrib) <= rel_tol * max(abs(total), 1e-300)
+            small = abs(contrib) <= 1e-12 * max(abs(total), 1e-300)
             quiet = quiet + 1 if small else 0
             if quiet >= 3:
                 return total
+            small = abs(contrib) <= 1e-12 * max(abs(total), scale)
+            near = near + 1 if small else 0
+    if near >= 3 or not lo.size:
+        return total
     raise NonConvergenceError(
-        f"u' tail from {far} did not settle within {len(lo)} doubling panels")
+        f"u' tail from {lo[0]} has not settled where the source tail "
+        f"vanishes, beyond {hi[-1]}")
 
 
 def exterior_limit(sol):
-    """Limit at infinity of a bounded exterior radial solution."""
+    """Limit at infinity of a bounded exterior radial solution: u(far)
+    plus `_uprime_tail` at scale |u(far)|, whose last three panels are
+    below 1e-12 of the tail or, where the source tail vanishes first, of
+    the larger of the tail and |u(far)|; else NonConvergenceError."""
     far = sol.far_edge
     if far is None:
         raise DomainError("limit is defined for exterior solutions only")
-    tail = _uprime_tail(sol.spec, _source_density(sol.f, sol.spec.n), far,
-                        sol.spec.n)
     # u(far) over dyadic pieces: one piece from R_in to far would have to
     # be bisected into the power-law decay of u' (far reaches 1e28)
     dyadic = sol.R_in * 2.0 ** np.arange(1, np.log2(far / sol.R_in))
-    return float(sol.values(np.append(dyadic, far))[-1]) + tail
+    u_far = float(sol.values(np.append(dyadic, far))[-1])
+    return u_far + _uprime_tail(sol, abs(u_far))
 
 
 def flux_residual(sol, radii):

@@ -783,6 +783,20 @@ def test_solve_status_contract(problem):
     assert np.all(np.diff(history) <= rounding)
 
 
+@pytest.mark.parametrize("C_f", [1.19e-7, 1e-12])
+def test_tiny_cell_gradients_take_the_exact_flux_below_p_2(C_f):
+    # at p = 1.5 the cell gradients of this solution are below 1e-12; a
+    # flux w(floor) g, with w = phi(1e-12)/1e-12, left the bare source term
+    # 2.3e-7 in the gradient and the exact solution read `stagnated`
+    spec = make_spec(1.5, 2)
+    u, rep = solve_dirichlet(radial_mesh(2, 1.0, 2.0, 2), spec,
+                             power_decay_source(spec, C_f, 1.0),
+                             {"inner": 0.0, "outer": 0.0})
+    assert np.max(np.abs(np.diff(u.values))) < annulus_solver._GRAD_FLOOR
+    assert rep.status == "converged"
+    assert rep.grad_norm <= 1e-10 * rep.scale
+
+
 def test_unknown_method_raises():
     spec = make_spec(2.0, 2)
     mesh = radial_mesh(2, 1.0, 2.0, 16)

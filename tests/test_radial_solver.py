@@ -79,44 +79,108 @@ def test_exterior_limit_scales_with_source():
     assert ells[0] < ells[1] < ells[2]
 
 
-def _uprime_tail_by_node(spec, g, far, n, rel_tol=1e-12, max_panels=400):
-    # reference: the in-panel source remainder rebuilt one node at a time
+def _tail_by_node(spec, g, edges):
+    # reference: the source tail T at the 16-point nodes of each doubling
+    # panel, its in-panel remainder rebuilt one node at a time, and the
+    # u' tail summed panel by panel with the three-quiet stop
     x8, w8 = np.polynomial.legendre.leggauss(8)
     x16, w16 = np.polynomial.legendre.leggauss(16)
-    edges = far * 2.0 ** np.arange(max_panels + 1)
     lo, hi = edges[:-1], edges[1:]
     nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x8
     panel_g = 0.5 * (hi - lo) * (g(nodes.ravel()).reshape(nodes.shape) @ w8)
     T_edges = np.concatenate((np.cumsum(panel_g[::-1])[::-1], [0.0]))
+    pts, T_nodes, tail = [], [], None
     total, quiet = 0.0, 0
     for k in range(len(lo)):
         a, b = lo[k], hi[k]
-        pts = 0.5 * (a + b) + 0.5 * (b - a) * x16
+        x = 0.5 * (a + b) + 0.5 * (b - a) * x16
         rem = [0.5 * (b - s) * float(g(0.5 * (s + b) + 0.5 * (b - s) * x8)
-                                     @ w8) for s in pts]
-        up = phi_inverse_signed(spec, (T_edges[k + 1] + np.asarray(rem))
-                                / pts ** (n - 1.0))
+                                     @ w8) for s in x]
+        T = T_edges[k + 1] + np.asarray(rem)
+        pts.append(x)
+        T_nodes.append(T)
+        up = phi_inverse_signed(spec, T / x ** (spec.n - 1.0))
         contrib = 0.5 * (b - a) * float(up @ w16)
         total += contrib
-        quiet = quiet + 1 if abs(contrib) <= rel_tol * abs(total) else 0
-        if quiet >= 3:
-            return total
+        quiet = quiet + 1 if abs(contrib) <= 1e-12 * abs(total) else 0
+        if quiet >= 3 and tail is None:
+            tail = total
+    return np.asarray(pts), np.asarray(T_nodes), tail
 
 
 @pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])
-def test_uprime_tail_matches_node_by_node_remainders(coeff):
+def test_flux_num_beyond_far_matches_node_by_node_remainders(coeff):
     spec = make_spec(3.0, 2, coeff)
-    g = _source_density(power_decay_source(spec, 1.0, 1.0), 2)
-    got = _uprime_tail(spec, g, 64.0, 2)
-    assert got == pytest.approx(_uprime_tail_by_node(spec, g, 64.0, 2),
-                                rel=1e-14)
+    f = power_decay_source(spec, 1.0, 1.0)
+    sol = solve_exterior_radial(spec, f, 0.0, R_in=1.0)
+    edges = sol.tail_edges
+    assert edges[0] == sol.far_edge and np.all(edges[1:] == 2.0 * edges[:-1])
+    pts, T_nodes, tail = _tail_by_node(spec, _source_density(f, 2), edges)
+    assert sol.flux_num(pts) == pytest.approx(T_nodes, rel=1e-14, abs=0.0)
+    assert _uprime_tail(sol, 0.0) == pytest.approx(tail, rel=1e-14)
+    # the spline and the doubling panels meet at far
+    assert float(sol.flux_num(edges[0])) == pytest.approx(
+        float(sol.flux_num(np.nextafter(edges[0], np.inf))), rel=1e-12)
 
 
-def test_uprime_tail_out_of_panels_raises():
+def _closed_form(p, n, C_f, eps, R_in):
+    # plap, f = C_f r^(-p-eps) beyond R_in >= 1: T(r) = C_f r^(n-p-eps) /
+    # (p+eps-n), so u' = K r^(-a) with a = (p+eps-1)/(p-1) and K =
+    # (C_f/(p+eps-n))^(1/(p-1)); returns K, a and the limit for u_in = 0
+    a = (p + eps - 1.0) / (p - 1.0)
+    K = (C_f / (p + eps - n)) ** (1.0 / (p - 1.0))
+    return K, a, K * R_in ** (1.0 - a) / (a - 1.0)
+
+
+@pytest.mark.parametrize("C_f,eps,R_in", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.6),
+                                          (2.0, 1.5, 3.0)])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+def test_exterior_limit_matches_the_closed_form(p, n, C_f, eps, R_in):
+    spec = make_spec(p, n)
+    sol = solve_exterior_radial(spec, power_decay_source(spec, C_f, eps),
+                                0.0, R_in=R_in)
+    exact = _closed_form(p, n, C_f, eps, R_in)[2]
+    assert exterior_limit(sol) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("p,n,C_f,eps", [(2.5, 3, 1.0, 0.8),
+                                         (2.5, 3, 1.3, 0.8),
+                                         (4.0, 4, 1.0, 0.5)])
+def test_exterior_limit_where_r_to_the_n_minus_1_overflows(p, n, C_f, eps):
+    # far is 2.3e45 and 1.6e28: a tail sweep out to 1.3e154 overflows
+    # r^(n-1) into 0 * inf = NaN.  At n = 4 the density underflows near
+    # 7e71 while the u' panels are still 3e-9 of the tail, but below 1e-13
+    # of the limit
+    spec = make_spec(p, n)
+    sol = solve_exterior_radial(spec, power_decay_source(spec, C_f, eps),
+                                0.0, R_in=1.6)
+    assert sol.tail_edges[-1] ** (n - 1) <= 1e290
+    exact = _closed_form(p, n, C_f, eps, 1.6)[2]
+    assert exterior_limit(sol) == pytest.approx(exact, rel=2e-9)
+
+
+def test_uprime_beyond_far_matches_the_closed_form():
     spec = make_spec(3.0, 2)
-    g = _source_density(power_decay_source(spec, 1.0, 1.0), 2)
-    with pytest.raises(NonConvergenceError):
-        _uprime_tail(spec, g, 64.0, 2, max_panels=5)
+    sol = solve_exterior_radial(spec, power_decay_source(spec, 1.0, 1.0),
+                                0.0, R_in=1.0)
+    K, a, ell = _closed_form(3.0, 2, 1.0, 1.0, 1.0)
+    for r in (4.0 * sol.far_edge, 64.0 * sol.far_edge):
+        assert float(sol.u_prime(r)) == pytest.approx(K * r ** -a, rel=1e-10)
+        assert sol.value(r) == pytest.approx(
+            ell - K * r ** (1.0 - a) / (a - 1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("p,n,eps", [(10.0, 2, 0.5), (6.0, 2, 1.0)])
+def test_limit_raises_where_the_source_tail_vanishes_first(p, n, eps):
+    # where f underflows (4e30 and 9e45) the u' panels are still 8e-4 and
+    # 1e-10 of the limit: the sums up to there are 2% and 7.8e-10 short of
+    # the closed forms 13.825 and 3.2988
+    spec = make_spec(p, n)
+    sol = solve_exterior_radial(spec, power_decay_source(spec, 1.0, eps),
+                                0.0, R_in=1.6)
+    with pytest.raises(NonConvergenceError, match="source tail vanishes"):
+        exterior_limit(sol)
 
 
 @pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])

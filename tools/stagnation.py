@@ -1,4 +1,5 @@
-"""How the annulus solves stop: status counts of six sweeps.
+"""How the solves stop: status counts of six annulus sweeps, and how the
+exterior limits stop.
 
     python3 tools/stagnation.py [CHECKOUT]
 
@@ -25,14 +26,22 @@ only read.  Every `solve_dirichlet` call of these sweeps is recorded:
     radial solve of the mean data plus the p = 2 harmonic extension of
     the rest, whose decay is not that of large p.
 
-One line per sweep gives the number of solves, the count of each status,
-how many stopped with a gradient above tol*scale (the scale of each
-`EnergyReport`), the largest ratio of gradient to tol*scale, and the
+One line per annulus sweep gives the number of solves, the count of each
+status, how many stopped with a gradient above tol*scale (the scale of
+each `EnergyReport`), the largest ratio of gradient to tol*scale, and the
 iterations.  On a radial mesh the iterations are the evaluations of the
 flux sum of the shooting on C; on a polar one they are Newton
 directions (the flux sums of its start are not counted).  A solve that
 raises `NonConvergenceError` counts as "raised".  CHECKOUT's
 `EnergyReport` must have `status` and `scale`.
+
+A last line takes `exterior_limit` of `solve_exterior_radial` with u_in = 0
+on [1.6, inf): plap and smooth-bump, p = 1.8, 2.5, 3, 4, 6, 8 and 10, n = 2
+and 3, source powerdecay 1:eps with eps = 0.5 and 1 and p + eps > n.  It
+counts the limits returned and those that raised `NonConvergenceError`,
+and gives the largest relative error of a returned plap limit against the
+closed form (K/(a-1)) R_in^(1-a), where u' = K r^(-a) with a =
+(p+eps-1)/(p-1) and K = (1/(p+eps-n))^(1/(p-1)).
 """
 
 from __future__ import annotations
@@ -53,8 +62,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from plapext import (annulus_solver, make_spec, polar_mesh,  # noqa: E402
-                     power_decay_source, radial_mesh)
+from plapext import (annulus_solver, exterior_limit,  # noqa: E402
+                     make_spec, polar_mesh, power_decay_source, radial_mesh,
+                     solve_exterior_radial)
 from plapext.operator_core import NonConvergenceError  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -144,6 +154,33 @@ def report(name, rows):
           flush=True)
 
 
+def exterior_limits():
+    R_in, returned, raised, worst = 1.6, 0, 0, 0.0
+    for coeff in ("plap", "smooth-bump"):
+        for p in (1.8, 2.5, 3.0, 4.0, 6.0, 8.0, 10.0):
+            for n in (2, 3):
+                for eps in (0.5, 1.0):
+                    if not p + eps > n:
+                        continue
+                    spec = make_spec(p, n, coeff)
+                    sol = solve_exterior_radial(
+                        spec, power_decay_source(spec, 1.0, eps), 0.0, R_in)
+                    try:
+                        limit = exterior_limit(sol)
+                    except NonConvergenceError:
+                        raised += 1
+                        continue
+                    returned += 1
+                    if coeff == "plap":
+                        a = (p + eps - 1.0) / (p - 1.0)
+                        K = (1.0 / (p + eps - n)) ** (1.0 / (p - 1.0))
+                        exact = K * R_in ** (1.0 - a) / (a - 1.0)
+                        worst = max(worst, abs(limit - exact) / exact)
+    print(f"exterior limits: {returned + raised} limits, returned "
+          f"{returned}, raised {raised}; worst plap error {worst:.3g} of "
+          f"the closed form", flush=True)
+
+
 def main():
     rec = Recorder(annulus_solver.solve_dirichlet)
     annulus_solver.solve_dirichlet = rec
@@ -162,6 +199,7 @@ def main():
             rec.tol, rec.rows = tol, []
             sweep()
             report(name, rec.rows)
+    exterior_limits()
 
 
 if __name__ == "__main__":
