@@ -20,14 +20,18 @@ from .quadrature import DivergenceError, integrate, tail_panel_sums
 
 @dataclass
 class SourceTerm:
-    """Radial source f(r): a vectorized profile (None means f = 0) and an
-    optional decay tag (C_f, eps) valid from r0 on."""
+    """Radial source f(r): a vectorized profile (None means f = 0), an
+    optional decay tag (C_f, eps) valid from r0 on, and, for the kinds with
+    a closed form (`zero`, `powerdecay`), the exact density integral
+    density_integral(a, b, n) = integral over [a, b] of f(s) s^(n-1),
+    vectorized over 0 <= a <= b <= inf; None for the other kinds."""
 
     profile: object = None              # vectorized callable of radius
     C_f: float | None = None
     eps: float | None = None
     r0: float = 1.0
     name: str = "zero"
+    density_integral: object = None
     _tail_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -44,7 +48,24 @@ class SourceTerm:
 
 
 def zero_source():
-    return SourceTerm(name="zero", C_f=0.0, eps=1.0)
+    return SourceTerm(name="zero", C_f=0.0, eps=1.0,
+                      density_integral=lambda a, b, n: np.zeros(
+                          np.broadcast(a, b).shape))
+
+
+def _power_integral(m, a, b):
+    """Integral of s^(m-1) over [a, b], 0 <= a <= b <= inf, elementwise:
+    c^m (1 - exp(-|m| L))/|m| with L = log(b/a) and c the endpoint where
+    s^m is larger, so no difference of powers is formed; for m < 0 and
+    b = inf this is a^m/(-m) itself.  m = 0 gives L."""
+    if m < 0 and np.ndim(b) == 0 and b == np.inf:
+        return a ** m / -m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.where(b > a, np.log1p((b - a) / a), 0.0)
+    if m == 0:
+        return L
+    c = b if m > 0 else a
+    return c ** m * -np.expm1(-abs(m) * L) / abs(m)
 
 
 def power_decay_source(spec, C_f, eps):
@@ -55,8 +76,24 @@ def power_decay_source(spec, C_f, eps):
         r = np.asarray(r, dtype=float)
         return np.where(r <= 1.0, C_f, C_f * np.maximum(r, 1e-300) ** (-expo))
 
+    def density_integral(a, b, n):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if C_f == 0:
+            return np.zeros(np.broadcast(a, b).shape)
+        if expo <= n and np.any(np.isinf(b)):
+            raise DivergenceError(
+                f"f s^(n-1) = C_f s^({n - 1 - expo:g}) is not integrable "
+                f"at infinity")
+        if np.all(a >= 1.0):
+            return C_f * _power_integral(n - expo, a, b)
+        return C_f * (_power_integral(n, np.minimum(a, 1.0),
+                                      np.minimum(b, 1.0))
+                      + _power_integral(n - expo, np.maximum(a, 1.0),
+                                        np.maximum(b, 1.0)))
+
     return SourceTerm(profile=profile, C_f=float(C_f), eps=float(eps),
-                      name=f"powerdecay:{C_f}:{eps}")
+                      name=f"powerdecay:{C_f}:{eps}",
+                      density_integral=density_integral)
 
 
 def counterexample_u(r):

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +403,15 @@ def test_main_argparse_roundtrip(tmp_path):
     code = cli.main(["counterexample", "--config", cfg,
                      "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 0
+
+
+def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
+    # a fresh process: the radial solvers' fallback spline is numpy's own
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, plapext.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith("
+         "'scipy.interpolate')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

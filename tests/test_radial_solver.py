@@ -3,7 +3,8 @@ import pytest
 
 from plapext import (DomainError, NonConvergenceError, exterior_limit,
                      flux_residual, make_spec, power_decay_source,
-                     solve_exterior_radial, solve_radial_bvp, zero_source)
+                     solve_exterior_radial, solve_radial_bvp,
+                     source_from_name, zero_source)
 from plapext.operator_core import phi_inverse_signed
 from plapext.quadrature import integrate
 from plapext.radial_solver import _source_density, _uprime_tail
@@ -79,45 +80,72 @@ def test_exterior_limit_scales_with_source():
     assert ells[0] < ells[1] < ells[2]
 
 
-def _tail_by_node(spec, g, edges):
+def _nodes16(edges):
+    # the 16-point Gauss nodes of each doubling panel, a row per panel
+    x16 = np.polynomial.legendre.leggauss(16)[0]
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x16
+
+
+def _remainder_tail(g, edges):
     # reference: the source tail T at the 16-point nodes of each doubling
-    # panel, its in-panel remainder rebuilt one node at a time, and the
-    # u' tail summed panel by panel with the three-quiet stop
+    # panel, the sum of the 8-point panel sums beyond the panel plus the
+    # in-panel remainder rebuilt one node at a time
     x8, w8 = np.polynomial.legendre.leggauss(8)
-    x16, w16 = np.polynomial.legendre.leggauss(16)
     lo, hi = edges[:-1], edges[1:]
     nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x8
     panel_g = 0.5 * (hi - lo) * (g(nodes.ravel()).reshape(nodes.shape) @ w8)
     T_edges = np.concatenate((np.cumsum(panel_g[::-1])[::-1], [0.0]))
-    pts, T_nodes, tail = [], [], None
+    pts = _nodes16(edges)
+    T_nodes = [[T_edges[k + 1] + 0.5 * (hi[k] - s) * float(
+        g(0.5 * (s + hi[k]) + 0.5 * (hi[k] - s) * x8) @ w8) for s in row]
+        for k, row in enumerate(pts)]
+    return pts, np.asarray(T_nodes)
+
+
+def _uprime_sum(spec, edges, T_nodes):
+    # reference: the u' tail summed panel by panel from T at the nodes of
+    # `_nodes16`, with the three-quiet stop
+    w16 = np.polynomial.legendre.leggauss(16)[1]
     total, quiet = 0.0, 0
-    for k in range(len(lo)):
-        a, b = lo[k], hi[k]
-        x = 0.5 * (a + b) + 0.5 * (b - a) * x16
-        rem = [0.5 * (b - s) * float(g(0.5 * (s + b) + 0.5 * (b - s) * x8)
-                                     @ w8) for s in x]
-        T = T_edges[k + 1] + np.asarray(rem)
-        pts.append(x)
-        T_nodes.append(T)
+    for k, (x, T) in enumerate(zip(_nodes16(edges), T_nodes)):
         up = phi_inverse_signed(spec, T / x ** (spec.n - 1.0))
-        contrib = 0.5 * (b - a) * float(up @ w16)
+        contrib = 0.5 * (edges[k + 1] - edges[k]) * float(up @ w16)
         total += contrib
         quiet = quiet + 1 if abs(contrib) <= 1e-12 * abs(total) else 0
-        if quiet >= 3 and tail is None:
-            tail = total
-    return np.asarray(pts), np.asarray(T_nodes), tail
+        if quiet >= 3:
+            return total
+    return None
 
 
 @pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])
-def test_flux_num_beyond_far_matches_node_by_node_remainders(coeff):
+def test_flux_num_beyond_far_is_the_closed_form_tail(coeff):
+    # p = 3, n = 2, f = r^(-4) beyond R_in = 1: T(r) = r^(-2)/2
     spec = make_spec(3.0, 2, coeff)
     f = power_decay_source(spec, 1.0, 1.0)
     sol = solve_exterior_radial(spec, f, 0.0, R_in=1.0)
     edges = sol.tail_edges
     assert edges[0] == sol.far_edge and np.all(edges[1:] == 2.0 * edges[:-1])
-    pts, T_nodes, tail = _tail_by_node(spec, _source_density(f, 2), edges)
+    pts = _nodes16(edges)
+    assert sol.flux_num(pts) == pytest.approx(0.5 * pts ** -2.0, rel=1e-14,
+                                              abs=0.0)
+    assert _uprime_tail(sol, 0.0) == pytest.approx(
+        _uprime_sum(spec, edges, 0.5 * pts ** -2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])
+def test_spline_tail_beyond_far_matches_node_by_node_remainders(coeff):
+    # an `expr:` source has no closed form: T is the 4097-knot spline up
+    # to far and the doubling-panel sums beyond
+    spec = make_spec(3.0, 2, coeff)
+    f = source_from_name("expr:r^(-4)", spec)
+    sol = solve_exterior_radial(spec, f, 0.0, R_in=1.0)
+    edges = sol.tail_edges
+    assert edges[0] == sol.far_edge and np.all(edges[1:] == 2.0 * edges[:-1])
+    pts, T_nodes = _remainder_tail(_source_density(f, 2), edges)
     assert sol.flux_num(pts) == pytest.approx(T_nodes, rel=1e-14, abs=0.0)
-    assert _uprime_tail(sol, 0.0) == pytest.approx(tail, rel=1e-14)
+    assert _uprime_tail(sol, 0.0) == pytest.approx(
+        _uprime_sum(spec, edges, T_nodes), rel=1e-14)
     # the spline and the doubling panels meet at far
     assert float(sol.flux_num(edges[0])) == pytest.approx(
         float(sol.flux_num(np.nextafter(edges[0], np.inf))), rel=1e-12)
@@ -141,7 +169,7 @@ def test_exterior_limit_matches_the_closed_form(p, n, C_f, eps, R_in):
     sol = solve_exterior_radial(spec, power_decay_source(spec, C_f, eps),
                                 0.0, R_in=R_in)
     exact = _closed_form(p, n, C_f, eps, R_in)[2]
-    assert exterior_limit(sol) == pytest.approx(exact, rel=1e-10)
+    assert exterior_limit(sol) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,n,C_f,eps", [(2.5, 3, 1.0, 0.8),
@@ -157,7 +185,7 @@ def test_exterior_limit_where_r_to_the_n_minus_1_overflows(p, n, C_f, eps):
                                 0.0, R_in=1.6)
     assert sol.tail_edges[-1] ** (n - 1) <= 1e290
     exact = _closed_form(p, n, C_f, eps, 1.6)[2]
-    assert exterior_limit(sol) == pytest.approx(exact, rel=2e-9)
+    assert exterior_limit(sol) == pytest.approx(exact, rel=5e-12)
 
 
 def test_uprime_beyond_far_matches_the_closed_form():
@@ -200,14 +228,25 @@ def test_values_match_a_per_radius_loop(coeff):
             prev = r
         assert got == pytest.approx([value[r] for r in radii], rel=1e-13,
                                     abs=0.0)
-        # each radius by its own integral from R_in: u' comes from a C^1
-        # spline, on which one G10/K21 estimate at 1e-12 is good to a
-        # few 1e-12 only
+        # each radius by its own integral from R_in: u' comes from the
+        # closed-form source integral, smooth beyond r = 1, on which one
+        # G10/K21 estimate at 1e-12 is good to a few ulps
         whole = [sol.u_in + integrate(sol.u_prime, 1.0, r, rel_tol=1e-12)
                  for r in radii]
-        assert got == pytest.approx(whole, rel=1e-11, abs=0.0)
+        assert got == pytest.approx(whole, rel=1e-13, abs=0.0)
         assert sol.value(radii[2]) == pytest.approx(whole[2], rel=1e-15,
                                                     abs=0.0)
+
+
+@pytest.mark.parametrize("coeff", ["plap", "smooth-bump"])
+def test_bvp_read_back_through_gaps_meets_u_out(coeff):
+    # u(R_out) as the sum of 63 gap integrals, not the one integral the
+    # shooting matched; a spline-built F left it 4.6e-12 away
+    spec = make_spec(3.0, 2, coeff)
+    sol = solve_radial_bvp(spec, power_decay_source(spec, 1.0, 1.0),
+                           1.0, 300.0, 0.5, 2.0)
+    u = sol.values(np.geomspace(1.0, 300.0, 64))
+    assert u[-1] == pytest.approx(2.0, rel=0.0, abs=1e-13)
 
 
 def test_values_outside_the_domain_raise():

@@ -1,13 +1,17 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plapext import (DomainError, check_decay, check_part_b_conditions,
                      annulus_norm, counterexample_residual,
                      counterexample_source, counterexample_u, exterior_norm,
                      harnack_K, make_spec, power_decay_source,
                      source_from_name, zero_source)
+from plapext.quadrature import DivergenceError, integrate, tail_panel_sums
 
 
 def test_zero_source():
@@ -24,6 +28,71 @@ def test_power_decay_values():
     assert f(0.5) == pytest.approx(2.0)          # constant inside the unit ball
     assert f(4.0) == pytest.approx(2.0 * 4.0 ** -4.0)
     assert f.decay_tagged and f.C_f == 2.0 and f.eps == 1.0
+
+
+def _density(f, n):
+    return lambda s: f(s) * s ** (n - 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(C_f=st.floats(-3.0, 3.0), eps=st.floats(0.05, 3.0),
+       p=st.floats(1.1, 8.0), n=st.sampled_from([2, 3, 4]),
+       a=st.floats(0.01, 0.99), b=st.floats(1.01, 100.0))
+def test_density_integral_across_r_1_matches_quadrature(C_f, eps, p, n, a, b):
+    f = power_decay_source(make_spec(p, n), C_f, eps)
+    got = f.density_integral(np.array([a, a, 1.0]), np.array([b, 1.0, b]), n)
+    for value, (lo, hi) in zip(got, [(a, b), (a, 1.0), (1.0, b)]):
+        ref = integrate(_density(f, n), lo, hi, breakpoints=(1.0,))
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(C_f=st.floats(0.1, 3.0), eps=st.floats(0.05, 3.0),
+       p=st.floats(1.1, 8.0), n=st.sampled_from([2, 3, 4]),
+       a=st.floats(0.1, 20.0))
+def test_density_tail_matches_the_doubling_panel_sum(C_f, eps, p, n, a):
+    # a density decaying at least like s^(-1.5), whose doubling panels
+    # settle well inside the 1e-12 asked of the closed form; they start
+    # at 1 at the latest, since one across the kink is good to 1e-11 only
+    assume(p + eps >= n + 0.5)
+    f = power_decay_source(make_spec(p, n), C_f, eps)
+    kink = max(a, 1.0)
+    ref = integrate(_density(f, n), a, kink) \
+        + float(np.sum(tail_panel_sums(_density(f, n), kink)[1]))
+    assert float(f.density_integral(a, np.inf, n)) == pytest.approx(
+        ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,n,C_f,eps,a,b", [
+    (3.0, 2, 1.0, 1.0, 0.25, np.inf), (2.5, 3, 1.3, 0.8, 0.5, 7.0),
+    (4.0, 4, 0.7, 0.5, 1.6, np.inf), (6.0, 3, 2.0, 0.1, 1.0 + 1e-9, 1.0 + 2e-9),
+    (1.5, 4, -0.4, 3.0, 0.001, 0.002)])
+def test_density_integral_matches_30_digit_mpmath(p, n, C_f, eps, a, b):
+    q = mpmath.mpf(p) + mpmath.mpf(eps)
+    with mpmath.workdps(30):
+        g = lambda s: C_f * s ** (n - 1) * (1 if s <= 1 else s ** -q)
+        ends = [mpmath.mpf(a)] + ([mpmath.mpf(1)] if a < 1 < b else []) \
+            + [mpmath.inf if np.isinf(b) else mpmath.mpf(b)]
+        ref = float(mpmath.quad(g, ends))
+    f = power_decay_source(make_spec(p, n), C_f, eps)
+    assert float(f.density_integral(a, b, n)) == pytest.approx(ref, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(C_f=st.floats(0.1, 3.0), p=st.floats(1.1, 1.9),
+       n=st.sampled_from([2, 3, 4]), share=st.floats(0.01, 1.0),
+       a=st.floats(0.1, 20.0))
+def test_divergent_density_tail_raises(C_f, p, n, share, a):
+    # p + eps <= n: the tail is reported, while finite intervals stay finite
+    f = power_decay_source(make_spec(p, n), C_f, share * (n - p))
+    with pytest.raises(DivergenceError):
+        f.density_integral(np.array([a, 2.0 * a]), np.inf, n)
+    assert np.isfinite(f.density_integral(a, 2.0 * a, n))
+
+
+def test_zero_source_density_integral_is_zero():
+    got = zero_source().density_integral(np.array([[0.5, 2.0]]), np.inf, 3)
+    assert got.shape == (1, 2) and np.all(got == 0.0)
 
 
 def test_source_from_name_grammar():
